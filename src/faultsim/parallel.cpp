@@ -1,10 +1,11 @@
 #include "faultsim/parallel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 
 #include "logic/eval.hpp"
-#include "logic/pval.hpp"
 #include "netlist/levelized.hpp"
 #include "util/thread_pool.hpp"
 
@@ -14,135 +15,37 @@ namespace {
 
 constexpr std::size_t kGroup = 63;  // slot 63 carries the fault-free machine
 
-}  // namespace
-
-void ParallelFaultSimulator::run_group(const TestSequence& test,
-                                       const SeqTrace& fault_free,
-                                       const Fault* faults, std::size_t n_faults,
-                                       ConvOutcome* outcomes,
-                                       GroupScratch& scratch) const {
-  const Circuit& c = *circuit_;
-  const LevelizedCircuit& lv = c.levelized();
-  const std::size_t L = test.length();
-
-  // Per-gate fault lists for quick fixup lookup, in reusable scratch (a
-  // fresh allocation per 63-fault group dominated the profile on the
-  // largest circuits). Only the <=63 touched entries are cleared.
-  auto& stem_faults = scratch.stem_faults;
-  auto& pin_faults = scratch.pin_faults;
-  for (GateId g : scratch.touched) {
-    stem_faults[g].clear();
-    pin_faults[g].clear();
-  }
-  scratch.touched.clear();
-  for (unsigned s = 0; s < n_faults; ++s) {
-    const GateId g = faults[s].gate;
-    if (stem_faults[g].empty() && pin_faults[g].empty()) {
-      scratch.touched.push_back(g);
-    }
-    if (faults[s].pin == kOutputPin) {
-      stem_faults[g].push_back(s);
-    } else {
-      pin_faults[g].push_back(s);
-    }
-  }
-
-  std::vector<PVal>& vals = scratch.vals;
-  std::vector<PVal>& state = scratch.state;
-  vals.assign(c.num_gates(), pv_all_x());
-  state.assign(c.num_dffs(), pv_all_x());
-
-  // Initial state: all-X except stem-stuck flip-flop outputs.
-  for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-    for (unsigned s : stem_faults[c.dffs()[k]]) {
-      pv_set(state[k], s, faults[s].stuck);
-    }
-  }
+/// Classifies faults[0..n_faults) over the reference frames `ref`; `state`
+/// is the lane's state buffer (one PVal per flip-flop).
+void run_group(const std::vector<const Val*>& ref, const Fault* faults,
+               std::size_t n_faults, ConvOutcome* outcomes,
+               GroupScratch& scratch, std::vector<PVal>& state) {
+  scratch.load(faults, n_faults);
+  scratch.initial_state(state.data());
 
   std::uint64_t detected = 0;
   // Condition (C) tracking: first frame with an unspecified state variable
   // and last frame with a fault-free-specified / faulty-X output.
-  std::vector<int> first_x_sv(64, -1);
-  std::vector<int> last_out_pair(64, -1);
+  std::array<int, 64> first_x_sv;
+  std::array<int, 64> last_out_pair;
+  first_x_sv.fill(-1);
+  last_out_pair.fill(-1);
+  const std::uint64_t group_mask = (1ull << n_faults) - 1;
 
-  auto scalar_fixup = [&](GateId id) {
-    const Gate& g = c.gate(id);
-    for (unsigned s : pin_faults[id]) {
-      // Re-evaluate this gate for slot s with the faulty pin forced.
-      thread_local std::vector<Val> ins;
-      ins.clear();
-      for (std::size_t k = 0; k < g.fanins.size(); ++k) {
-        ins.push_back(static_cast<int>(k) == faults[s].pin
-                          ? faults[s].stuck
-                          : pv_get(vals[g.fanins[k]], s));
-      }
-      pv_set(vals[id], s, eval_gate(g.type, ins));
+  for (std::size_t u = 0; u < ref.size(); ++u) {
+    const GroupScratch::FrameMasks m = scratch.step(ref[u], state.data());
+    for (std::uint64_t b = m.x_state & group_mask; b; b &= b - 1) {
+      const unsigned s = std::countr_zero(b);
+      if (first_x_sv[s] < 0) first_x_sv[s] = static_cast<int>(u);
     }
-    for (unsigned s : stem_faults[id]) {
-      pv_set(vals[id], s, faults[s].stuck);
+    for (std::uint64_t b = m.x_output & group_mask; b; b &= b - 1) {
+      last_out_pair[std::countr_zero(b)] = static_cast<int>(u);
     }
-  };
-
-  for (std::size_t u = 0; u < L; ++u) {
-    // Record slots that still have unspecified state variables.
-    std::uint64_t x_sv = 0;
-    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-      x_sv |= ~(state[k].ones | state[k].zeros);
-    }
-    for (unsigned s = 0; s < n_faults; ++s) {
-      if (first_x_sv[s] < 0 && ((x_sv >> s) & 1)) {
-        first_x_sv[s] = static_cast<int>(u);
-      }
-    }
-
-    // Drive primary inputs.
-    for (std::size_t k = 0; k < c.num_inputs(); ++k) {
-      const GateId pi = c.inputs()[k];
-      vals[pi] = pv_splat(test.at(u, k));
-      for (unsigned s : stem_faults[pi]) pv_set(vals[pi], s, faults[s].stuck);
-    }
-    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-      vals[c.dffs()[k]] = state[k];
-    }
-
-    // Bulk evaluation with per-slot fault patching. The levelized order
-    // leads with the constant gates (level 0), so one sweep over its flat
-    // arrays covers the whole combinational frame.
-    for (const GateId id : lv.order()) {
-      const GateId* fanins = lv.fanins(id);
-      vals[id] = pv_eval_gate_fn(
-          lv.type(id), lv.fanin_count(id),
-          [&](std::size_t k) -> const PVal& { return vals[fanins[k]]; });
-      scalar_fixup(id);
-    }
-
-    // Detection and output-pair tracking against the fault-free response.
-    std::uint64_t pair_mask = 0;
-    for (std::size_t o = 0; o < c.num_outputs(); ++o) {
-      const Val good = fault_free.outputs[u][o];
-      if (!is_specified(good)) continue;
-      const PVal& po = vals[c.outputs()[o]];
-      detected |= good == Val::One ? po.zeros : po.ones;
-      pair_mask |= ~(po.ones | po.zeros);
-    }
-    for (unsigned s = 0; s < n_faults; ++s) {
-      if ((pair_mask >> s) & 1) last_out_pair[s] = static_cast<int>(u);
-    }
-
+    detected |= m.detected;
     // Drop-on-detect: once every fault in the group is detected the later
     // frames cannot change any outcome — detection is sticky and condition
     // (C) is only consulted for undetected faults.
-    const std::uint64_t group_mask = (1ull << n_faults) - 1;
     if ((detected & group_mask) == group_mask) break;
-
-    // Latch next state with D-pin and Q-stem fault patching.
-    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-      const GateId q = c.dffs()[k];
-      PVal next = vals[c.dff_input(k)];
-      for (unsigned s : pin_faults[q]) pv_set(next, s, faults[s].stuck);
-      for (unsigned s : stem_faults[q]) pv_set(next, s, faults[s].stuck);
-      state[k] = next;
-    }
   }
 
   for (unsigned s = 0; s < n_faults; ++s) {
@@ -153,43 +56,175 @@ void ParallelFaultSimulator::run_group(const TestSequence& test,
   }
 }
 
+}  // namespace
+
+GroupScratch::GroupScratch(const Circuit& c)
+    : circuit_(&c),
+      lv_(&c.levelized()),
+      site_(c.num_gates(), 0),
+      vals_(c.num_gates()),
+      stamp_(c.num_gates(), 0),
+      sweep_(c.levelized()) {}
+
+void GroupScratch::load(const Fault* faults, std::size_t n) {
+  assert(n <= kGroup);
+  for (GateId g : sites_) site_[g] = 0;
+  sites_.clear();
+  faults_ = faults;
+  for (unsigned s = 0; s < n; ++s) {
+    const GateId g = faults[s].gate;
+    if (site_[g] == 0) sites_.push_back(g);
+    site_[g] |= 1ull << s;
+  }
+}
+
+void GroupScratch::initial_state(PVal* state) const {
+  std::fill(state, state + circuit_->num_dffs(), pv_all_x());
+  for (GateId g : sites_) {
+    const auto k = circuit_->dff_index(g);
+    if (!k) continue;
+    for (std::uint64_t b = site_[g]; b; b &= b - 1) {
+      const unsigned s = std::countr_zero(b);
+      if (faults_[s].pin == kOutputPin) pv_set(state[*k], s, faults_[s].stuck);
+    }
+  }
+}
+
+GroupScratch::FrameMasks GroupScratch::step(const Val* ref, PVal* state) {
+  const Circuit& c = *circuit_;
+  const LevelizedCircuit& lv = *lv_;
+  if (++now_ == 0) {  // stamp wrap-around: forget every stored value
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    now_ = 1;
+  }
+  // Stores v as line g's value unless it equals the fault-free value in
+  // every slot; returns whether it was stored.
+  auto diverge = [&](GateId g, const PVal& v) {
+    if (v == pv_splat(ref[g])) return false;
+    vals_[g] = v;
+    stamp_[g] = now_;
+    return true;
+  };
+
+  FrameMasks m;
+  for (std::size_t k = 0; k < c.num_dffs(); ++k) {
+    m.x_state |= ~pv_specified_mask(state[k]);
+    const GateId q = c.dffs()[k];
+    if (diverge(q, state[k])) sweep_.mark_readers(q);
+  }
+  // Fault sites: input stems diverge directly, combinational sites are
+  // evaluated; flip-flop faults act through the state and the latch.
+  for (GateId g : sites_) {
+    const GateType t = lv.type(g);
+    if (t == GateType::Dff) continue;
+    if (t != GateType::Input) {
+      sweep_.mark(g);
+      continue;
+    }
+    PVal v = pv_splat(ref[g]);
+    for (std::uint64_t b = site_[g]; b; b &= b - 1) {
+      const unsigned s = std::countr_zero(b);
+      pv_set(v, s, faults_[s].stuck);
+    }
+    if (diverge(g, v)) sweep_.mark_readers(g);
+  }
+
+  sweep_.drain([&](GateId g) {
+    const GateType t = lv.type(g);
+    const std::uint32_t n = lv.fanin_count(g);
+    const GateId* fi = lv.fanins(g);
+    PVal v = pv_eval_gate_fn(
+        t, n, [&](std::size_t k) { return read(fi[k], ref); });
+    for (std::uint64_t b = site_[g]; b; b &= b - 1) {
+      const unsigned s = std::countr_zero(b);
+      const Fault& f = faults_[s];
+      if (f.pin == kOutputPin) {
+        pv_set(v, s, f.stuck);
+        continue;
+      }
+      // Re-evaluate this gate for slot s with the faulty pin forced.
+      pv_set(v, s, eval_gate_fn(t, n, [&](std::size_t k) {
+               return static_cast<int>(k) == f.pin ? f.stuck
+                                                   : pv_get(read(fi[k], ref), s);
+             }));
+    }
+    return diverge(g, v);
+  });
+
+  for (std::size_t o = 0; o < c.num_outputs(); ++o) {
+    const GateId g = c.outputs()[o];
+    const Val good = ref[g];
+    if (!is_specified(good) || stamp_[g] != now_) continue;
+    const PVal& po = vals_[g];
+    m.detected |= good == Val::One ? po.zeros : po.ones;
+    m.x_output |= ~pv_specified_mask(po);
+  }
+
+  // Latch next state with D-pin and Q-stem fault patching.
+  for (std::size_t k = 0; k < c.num_dffs(); ++k) {
+    const GateId q = c.dffs()[k];
+    PVal next = read(lv.dff_input(k), ref);
+    for (std::uint64_t b = site_[q]; b; b &= b - 1) {
+      const unsigned s = std::countr_zero(b);
+      pv_set(next, s, faults_[s].stuck);
+    }
+    state[k] = next;
+  }
+  return m;
+}
+
 std::vector<ConvOutcome> ParallelFaultSimulator::run(
     const TestSequence& test, const SeqTrace& fault_free,
     const std::vector<Fault>& faults, std::size_t num_threads) const {
-  assert(fault_free.length() == test.length());
+  const Circuit& c = *circuit_;
+  const std::size_t L = test.length();
+  assert(fault_free.length() == L);
   std::vector<ConvOutcome> outcomes(faults.size());
+  if (faults.empty()) return outcomes;
+
+  // Reference frames: the trace's own line values, or one fault-free frame
+  // sweep per time unit from its states, shared by every group.
+  std::vector<FrameVals> derived;
+  if (fault_free.lines.empty()) {
+    const FaultView fv(c);
+    derived.assign(L, FrameVals(c.num_gates(), Val::X));
+    for (std::size_t u = 0; u < L; ++u) {
+      for (std::size_t k = 0; k < c.num_inputs(); ++k) {
+        derived[u][c.inputs()[k]] = test.at(u, k);
+      }
+      for (std::size_t k = 0; k < c.num_dffs(); ++k) {
+        derived[u][c.dffs()[k]] = fault_free.states[u][k];
+      }
+      flat_eval_frame(c.levelized(), fv, derived[u]);
+    }
+  }
+  const std::vector<FrameVals>& frames =
+      fault_free.lines.empty() ? derived : fault_free.lines;
+  assert(frames.size() == L);
+  std::vector<const Val*> ref(L);
+  for (std::size_t u = 0; u < L; ++u) ref[u] = frames[u].data();
+
   const std::size_t n_groups = (faults.size() + kGroup - 1) / kGroup;
   const std::size_t threads =
-      std::min(std::max<std::size_t>(n_groups, 1), resolve_thread_count(num_threads));
-  if (threads <= 1) {
-    GroupScratch scratch;
-    scratch.stem_faults.resize(circuit_->num_gates());
-    scratch.pin_faults.resize(circuit_->num_gates());
-    for (std::size_t base = 0; base < faults.size(); base += kGroup) {
+      std::min(n_groups, resolve_thread_count(num_threads));
+  // Each lane owns one scratch and one state buffer; each group writes a
+  // disjoint outcome slice, so the result is schedule-independent.
+  std::vector<GroupScratch> scratch(threads, GroupScratch(c));
+  std::vector<std::vector<PVal>> state(threads,
+                                       std::vector<PVal>(c.num_dffs()));
+  auto run_groups = [&](std::size_t gb, std::size_t ge, std::size_t lane) {
+    for (std::size_t g = gb; g < ge; ++g) {
+      const std::size_t base = g * kGroup;
       const std::size_t n = std::min(kGroup, faults.size() - base);
-      run_group(test, fault_free, faults.data() + base, n,
-                outcomes.data() + base, scratch);
+      run_group(ref, faults.data() + base, n, outcomes.data() + base,
+                scratch[lane], state[lane]);
     }
-    return outcomes;
+  };
+  if (threads <= 1) {
+    run_groups(0, n_groups, 0);
+  } else {
+    ThreadPool(threads).parallel_for_dynamic(n_groups, /*grain=*/1, run_groups);
   }
-  // Each lane owns one scratch; each group writes a disjoint outcome slice,
-  // so the merge is the identity and the result is schedule-independent.
-  std::vector<GroupScratch> scratch(threads);
-  for (GroupScratch& s : scratch) {
-    s.stem_faults.resize(circuit_->num_gates());
-    s.pin_faults.resize(circuit_->num_gates());
-  }
-  ThreadPool pool(threads);
-  pool.parallel_for_dynamic(
-      n_groups, /*grain=*/1,
-      [&](std::size_t gb, std::size_t ge, std::size_t lane) {
-        for (std::size_t g = gb; g < ge; ++g) {
-          const std::size_t base = g * kGroup;
-          const std::size_t n = std::min(kGroup, faults.size() - base);
-          run_group(test, fault_free, faults.data() + base, n,
-                    outcomes.data() + base, scratch[lane]);
-        }
-      });
   return outcomes;
 }
 

@@ -1,9 +1,9 @@
 #include "faultsim/session.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "fault/fault_view.hpp"
-#include "logic/eval.hpp"
 
 namespace motsim {
 
@@ -13,102 +13,17 @@ constexpr std::size_t kGroup = 63;
 
 ParallelFaultSession::ParallelFaultSession(const Circuit& circuit,
                                            const std::vector<Fault>& faults)
-    : circuit_(&circuit), faults_(&faults) {
+    : circuit_(&circuit), faults_(&faults), scratch_(circuit) {
   detected_.assign(faults.size(), 0);
   good_state_.assign(circuit.num_dffs(), Val::X);
   for (std::size_t base = 0; base < faults.size(); base += kGroup) {
     Group g;
     g.first = base;
     g.count = std::min(kGroup, faults.size() - base);
-    g.state.assign(circuit.num_dffs(), pv_all_x());
-    // Fold stem-stuck flip-flop outputs into the initial state.
-    for (std::size_t s = 0; s < g.count; ++s) {
-      const Fault& f = faults[base + s];
-      if (f.pin == kOutputPin) {
-        const auto k = circuit.dff_index(f.gate);
-        if (k.has_value()) pv_set(g.state[*k], static_cast<unsigned>(s), f.stuck);
-      }
-    }
+    g.state.resize(circuit.num_dffs());
+    scratch_.load(faults.data() + base, g.count);
+    scratch_.initial_state(g.state.data());
     groups_.push_back(std::move(g));
-  }
-}
-
-void ParallelFaultSession::step_group(Group& group,
-                                      const std::vector<Val>& pattern,
-                                      const std::vector<Val>& good_outputs) {
-  const Circuit& c = *circuit_;
-  const Fault* faults = faults_->data() + group.first;
-  const std::size_t n = group.count;
-  vals_.assign(c.num_gates(), pv_all_x());
-
-  auto scalar_fixup = [&](GateId id) {
-    const Gate& g = c.gate(id);
-    for (std::size_t s = 0; s < n; ++s) {
-      const Fault& f = faults[s];
-      if (f.gate != id) continue;
-      if (f.pin == kOutputPin) {
-        pv_set(vals_[id], static_cast<unsigned>(s), f.stuck);
-      } else if (g.type != GateType::Dff) {
-        std::vector<Val> ins;
-        ins.reserve(g.fanins.size());
-        for (std::size_t k = 0; k < g.fanins.size(); ++k) {
-          ins.push_back(static_cast<int>(k) == f.pin
-                            ? f.stuck
-                            : pv_get(vals_[g.fanins[k]], static_cast<unsigned>(s)));
-        }
-        pv_set(vals_[id], static_cast<unsigned>(s), eval_gate(g.type, ins));
-      }
-    }
-  };
-
-  for (std::size_t k = 0; k < c.num_inputs(); ++k) {
-    const GateId pi = c.inputs()[k];
-    vals_[pi] = pv_splat(pattern[k]);
-    scalar_fixup(pi);
-  }
-  for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-    vals_[c.dffs()[k]] = group.state[k];
-  }
-  for (GateId id = 0; id < c.num_gates(); ++id) {
-    const GateType t = c.gate(id).type;
-    if (t == GateType::Const0 || t == GateType::Const1) {
-      vals_[id] = pv_splat(t == GateType::Const1 ? Val::One : Val::Zero);
-      scalar_fixup(id);
-    }
-  }
-  for (GateId id : c.topo_order()) {
-    const Gate& g = c.gate(id);
-    const GateId* fanins = g.fanins.data();
-    vals_[id] = pv_eval_gate_fn(
-        g.type, g.fanins.size(),
-        [&](std::size_t k) -> const PVal& { return vals_[fanins[k]]; });
-    scalar_fixup(id);
-  }
-
-  // Detection against the fault-free outputs of this frame.
-  std::uint64_t newly = 0;
-  for (std::size_t o = 0; o < c.num_outputs(); ++o) {
-    const Val good = good_outputs[o];
-    if (!is_specified(good)) continue;
-    const PVal& po = vals_[c.outputs()[o]];
-    newly |= good == Val::One ? po.zeros : po.ones;
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (((newly >> s) & 1) && !detected_[group.first + s]) {
-      detected_[group.first + s] = 1;
-      ++detected_count_;
-    }
-  }
-
-  // Latch next state with D-pin and Q-stem patching.
-  for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-    const GateId q = c.dffs()[k];
-    PVal next = vals_[c.dff_input(k)];
-    for (std::size_t s = 0; s < n; ++s) {
-      const Fault& f = faults[s];
-      if (f.gate == q) pv_set(next, static_cast<unsigned>(s), f.stuck);
-    }
-    group.state[k] = next;
   }
 }
 
@@ -119,7 +34,6 @@ void ParallelFaultSession::apply(const TestSequence& segment) {
   const FaultView fault_free(c);
 
   good_vals_.assign(c.num_gates(), Val::X);
-  std::vector<Val> good_outputs(c.num_outputs(), Val::X);
   for (std::size_t u = 0; u < segment.length(); ++u) {
     // Advance the fault-free machine one frame.
     for (std::size_t k = 0; k < c.num_inputs(); ++k) {
@@ -129,14 +43,21 @@ void ParallelFaultSession::apply(const TestSequence& segment) {
       good_vals_[c.dffs()[k]] = good_state_[k];
     }
     sim.eval_frame(good_vals_, fault_free);
-    for (std::size_t o = 0; o < c.num_outputs(); ++o) {
-      good_outputs[o] = good_vals_[c.outputs()[o]];
-    }
     for (std::size_t k = 0; k < c.num_dffs(); ++k) {
       good_state_[k] = good_vals_[c.dff_input(k)];
     }
-    // Advance every faulty machine.
-    for (Group& g : groups_) step_group(g, segment.pattern(u), good_outputs);
+    // Advance every faulty machine against that frame.
+    for (Group& g : groups_) {
+      scratch_.load(faults_->data() + g.first, g.count);
+      const std::uint64_t newly =
+          scratch_.step(good_vals_.data(), g.state.data()).detected;
+      for (std::size_t s = 0; s < g.count; ++s) {
+        if (((newly >> s) & 1) && !detected_[g.first + s]) {
+          detected_[g.first + s] = 1;
+          ++detected_count_;
+        }
+      }
+    }
     ++length_;
   }
 }

@@ -6,6 +6,11 @@
 // what simulation-guided test generation needs: propose a candidate segment
 // on a fork, keep the winner, never resimulate the prefix.
 //
+// Each frame advances the fault-free machine once and then every group
+// through the same divergence-overlay group step as ParallelFaultSimulator
+// (GroupScratch), with the fault-free frame as the reference, so only the
+// gates where a group differs from the fault-free machine are evaluated.
+//
 // apply() is semantically equivalent to running ParallelFaultSimulator over
 // the concatenation of every segment applied so far (asserted by tests).
 #pragma once
@@ -13,6 +18,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "faultsim/parallel.hpp"
 #include "logic/pval.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/test_sequence.hpp"
@@ -47,9 +53,6 @@ class ParallelFaultSession {
     std::vector<PVal> state;  ///< per flip-flop
   };
 
-  void step_group(Group& group, const std::vector<Val>& pattern,
-                  const std::vector<Val>& good_outputs);
-
   const Circuit* circuit_;
   const std::vector<Fault>* faults_;
   std::vector<Group> groups_;
@@ -57,8 +60,8 @@ class ParallelFaultSession {
   std::vector<char> detected_;     // per fault
   std::size_t detected_count_ = 0;
   std::size_t length_ = 0;
-  // Scratch (excluded from the logical state; re-created on demand).
-  std::vector<PVal> vals_;
+  // Scratch (excluded from the logical state).
+  GroupScratch scratch_;
   std::vector<Val> good_vals_;
 };
 

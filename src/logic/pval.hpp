@@ -29,13 +29,10 @@ struct PVal {
 /// All 64 slots X.
 inline PVal pv_all_x() { return PVal{}; }
 
-/// All 64 slots the same specified value.
+/// All 64 slots the same value (branch-free: hot in the overlay reads of
+/// the parallel fault simulator, where the value is unpredictable).
 inline PVal pv_splat(Val v) {
-  switch (v) {
-    case Val::Zero: return PVal{0, ~0ull};
-    case Val::One: return PVal{~0ull, 0};
-    default: return PVal{};
-  }
+  return PVal{0ull - (v == Val::One), 0ull - (v == Val::Zero)};
 }
 
 /// Reads slot k.

@@ -69,11 +69,12 @@ struct MotOptions {
   std::uint64_t selection_seed = 0x5eed;  ///< used only by SelectionPolicy::Random
 
   /// Worker threads used by the batch drivers (MotBatchRunner and the
-  /// ParallelFaultSimulator pre-pass). 0 = std::thread::hardware_concurrency();
-  /// 1 = fully serial, bit-identical to the single-threaded code path. The
-  /// per-fault procedures themselves are single-threaded and one
-  /// MotFaultSimulator / BackwardCollector instance must never be shared
-  /// across threads — the batch drivers build one instance per worker.
+  /// ParallelFaultSimulator pre-pass). 0 = every CPU in the process's
+  /// affinity mask (resolve_thread_count); 1 = fully serial, bit-identical
+  /// to the single-threaded code path. The per-fault procedures themselves
+  /// are single-threaded and one MotFaultSimulator / BackwardCollector
+  /// instance must never be shared across threads — the batch drivers build
+  /// one instance per worker.
   std::size_t num_threads = 0;
 
   /// Per-fault wall-clock budget in milliseconds (0 = unlimited). Polled at

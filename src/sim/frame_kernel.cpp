@@ -23,32 +23,21 @@ void flat_eval_frame(const LevelizedCircuit& lv, const FaultView& fv,
 }
 
 void ConeSweep::run(const FaultView& fv, GateId patch, FrameVals& vals) {
-  if (!any_) return;
   const LevelizedCircuit& lv = *lv_;
   Val* v = vals.data();
-  for (std::uint32_t lvl = 0; lvl <= max_level_; ++lvl) {
-    auto& bucket = buckets_[lvl];
-    for (std::size_t b = 0; b < bucket.size(); ++b) {
-      const GateId g = bucket[b];
-      pending_[g] = 0;
-      Val newv;
-      if (g == patch) {
-        newv = fv.eval(g, vals);
-      } else {
-        const GateId* fi = lv.fanins(g);
-        newv = eval_gate_fn(lv.type(g), lv.fanin_count(g),
-                            [&](std::size_t k) { return v[fi[k]]; });
-      }
-      if (newv == v[g]) continue;
-      v[g] = newv;
-      const GateId* ro = lv.fanouts(g);
-      const std::uint32_t nro = lv.fanout_count(g);
-      for (std::uint32_t r = 0; r < nro; ++r) mark(ro[r]);
+  drain([&](GateId g) {
+    Val newv;
+    if (g == patch) {
+      newv = fv.eval(g, vals);
+    } else {
+      const GateId* fi = lv.fanins(g);
+      newv = eval_gate_fn(lv.type(g), lv.fanin_count(g),
+                          [&](std::size_t k) { return v[fi[k]]; });
     }
-    bucket.clear();
-  }
-  max_level_ = 0;
-  any_ = false;
+    if (newv == v[g]) return false;
+    v[g] = newv;
+    return true;
+  });
 }
 
 SeqTrace run_fault_from_reference(const Circuit& c, const TestSequence& test,
@@ -88,9 +77,7 @@ SeqTrace run_fault_from_reference(const Circuit& c, const TestSequence& test,
       const GateId q = c.dffs()[j];
       if (frame[q] == state[j]) continue;
       frame[q] = state[j];
-      const GateId* ro = lv.fanouts(q);
-      const std::uint32_t nro = lv.fanout_count(q);
-      for (std::uint32_t r = 0; r < nro; ++r) sweep.mark(ro[r]);
+      sweep.mark_readers(q);
     }
     // The fault site.
     if (ft == GateType::Input) {
@@ -98,9 +85,7 @@ SeqTrace run_fault_from_reference(const Circuit& c, const TestSequence& test,
       const Val v = f.stuck;
       if (frame[f.gate] != v) {
         frame[f.gate] = v;
-        const GateId* ro = lv.fanouts(f.gate);
-        const std::uint32_t nro = lv.fanout_count(f.gate);
-        for (std::uint32_t r = 0; r < nro; ++r) sweep.mark(ro[r]);
+        sweep.mark_readers(f.gate);
       }
     } else if (mark_fault_gate) {
       sweep.mark(f.gate);

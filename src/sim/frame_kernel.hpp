@@ -65,7 +65,33 @@ class ConeSweep {
     any_ = true;
   }
 
+  /// Marks every combinational reader of g.
+  void mark_readers(GateId g) {
+    const GateId* ro = lv_->fanouts(g);
+    const std::uint32_t nro = lv_->fanout_count(g);
+    for (std::uint32_t r = 0; r < nro; ++r) mark(ro[r]);
+  }
+
   bool empty() const { return !any_; }
+
+  /// Visits the marked gates level by level, so each gate is visited once
+  /// and after every marked fanin: `eval(g)` recomputes g and returns true
+  /// when its value changed, which marks g's readers. Leaves the sweep empty.
+  template <typename Eval>
+  void drain(Eval&& eval) {
+    if (!any_) return;
+    for (std::uint32_t lvl = 0; lvl <= max_level_; ++lvl) {
+      auto& bucket = buckets_[lvl];
+      for (std::size_t b = 0; b < bucket.size(); ++b) {
+        const GateId g = bucket[b];
+        pending_[g] = 0;
+        if (eval(g)) mark_readers(g);
+      }
+      bucket.clear();
+    }
+    max_level_ = 0;
+    any_ = false;
+  }
 
   /// Evaluates the marked cone into `vals`. `patch` is the faulted gate (or
   /// kNoGate): it evaluates through fv.eval so stuck pins/stems are honoured.

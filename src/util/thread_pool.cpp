@@ -6,6 +6,10 @@
 #include <memory>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace motsim {
 
 namespace {
@@ -19,6 +23,13 @@ thread_local std::size_t tl_lane = 0;
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested != 0) return requested;
+#if defined(__linux__)
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);
 }

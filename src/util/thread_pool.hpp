@@ -40,9 +40,10 @@
 
 namespace motsim {
 
-/// Maps a requested thread count to an effective one: 0 means "all hardware
-/// threads" (std::thread::hardware_concurrency, at least 1), anything else
-/// is taken literally.
+/// Maps a requested thread count to an effective one: 0 means "every CPU
+/// this process may run on" (the sched_getaffinity mask, so taskset and
+/// container cpusets are honoured; std::thread::hardware_concurrency where
+/// the mask is unavailable; at least 1), anything else is taken literally.
 std::size_t resolve_thread_count(std::size_t requested);
 
 class ThreadPool {

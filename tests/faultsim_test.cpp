@@ -2,11 +2,15 @@
 // equivalence of the 64-way parallel-fault accelerator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/registry.hpp"
 #include "faultsim/parallel.hpp"
 #include "faultsim/session.hpp"
 #include "mot/oracle.hpp"
+#include "netlist/bench_io.hpp"
 #include "testgen/random_gen.hpp"
 
 namespace motsim {
@@ -156,6 +160,158 @@ TEST(ParallelEquivalence, HandlesMoreThanOneGroup) {
     ASSERT_EQ(so[k].detected, po[k].detected) << k;
   }
   EXPECT_GT(serial_detected, 0u);
+}
+
+// ------------------------------------------ divergence overlay edges ----
+//
+// The parallel simulator evaluates only the gates where a group can differ
+// from the fault-free frame; these cases pin the places where that skipping
+// could go wrong against the serial reference.
+
+// Returns the serial outcomes.
+std::vector<ConvOutcome> expect_matches_serial(const Circuit& c,
+                                               const TestSequence& t,
+                                               const SeqTrace& good,
+                                               const std::vector<Fault>& faults,
+                                               std::size_t threads = 1) {
+  const auto so = ConventionalFaultSimulator(c).run(t, good, faults);
+  const auto po = ParallelFaultSimulator(c).run(t, good, faults, threads);
+  EXPECT_EQ(so.size(), po.size());
+  for (std::size_t k = 0; k < std::min(so.size(), po.size()); ++k) {
+    EXPECT_EQ(so[k].detected, po[k].detected) << fault_name(c, faults[k]);
+    EXPECT_EQ(so[k].passes_c, po[k].passes_c) << fault_name(c, faults[k]);
+  }
+  return so;
+}
+
+// A generated circuit extended with constant gates that feed logic, an
+// output and a flip-flop, so constant stems and the pins they drive carry
+// faults too.
+Circuit generated_with_constants(std::uint64_t seed) {
+  circuits::GeneratorParams p;
+  p.name = "consts";
+  p.seed = seed;
+  p.num_inputs = 5;
+  p.num_outputs = 3;
+  p.num_dffs = 6;
+  p.num_comb_gates = 60;
+  p.uninit_fraction = 0.3;
+  const Circuit base = circuits::generate(p);
+  const std::string pi = base.gate(base.inputs()[0]).name;
+  const std::string q = base.gate(base.dffs()[0]).name;
+  const std::string z = base.gate(base.outputs()[0]).name;
+  const std::string text = write_bench(base) +
+                           "OUTPUT(ka)\n"
+                           "OUTPUT(kz)\n"
+                           "k1 = CONST1()\n"
+                           "k0 = CONST0()\n"
+                           "ka = AND(k1, " + pi + ")\n"
+                           "ko = OR(k0, " + q + ")\n"
+                           "kx = NAND(ka, ko)\n"
+                           "kq = DFF(kx)\n"
+                           "kz = XOR(kq, k0, kx)\n";
+  BenchParseResult r = parse_bench(text, "consts");
+  if (!r.ok) ADD_FAILURE() << r.error;
+  return std::move(r.circuit);
+}
+
+TEST(ParallelOverlay, UncollapsedFaultsWithConstantGates) {
+  for (std::uint64_t seed : {3u, 8u, 13u}) {
+    const Circuit c = generated_with_constants(seed);
+    const auto faults = enumerate_faults(c);  // every stem and every pin
+    bool pi_stem = false, q_stem = false, d_pin = false, const_site = false;
+    for (const Fault& f : faults) {
+      const GateType t = c.gate(f.gate).type;
+      pi_stem |= t == GateType::Input;
+      q_stem |= t == GateType::Dff && f.pin == kOutputPin;
+      d_pin |= t == GateType::Dff && f.pin != kOutputPin;
+      const_site |= t == GateType::Const0 || t == GateType::Const1;
+    }
+    ASSERT_TRUE(pi_stem && q_stem && d_pin && const_site);
+    Rng rng(seed + 100);
+    const TestSequence t = random_sequence(c.num_inputs(), 24, rng);
+    const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+    const auto serial = expect_matches_serial(c, t, good, faults);
+    // The constant faults must matter, or skipping them would go unseen.
+    std::size_t const_detected = 0;
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      const GateType gt = c.gate(faults[k].gate).type;
+      const bool is_const = gt == GateType::Const0 || gt == GateType::Const1;
+      const_detected += is_const && serial[k].detected;
+    }
+    EXPECT_GT(const_detected, 0u);
+  }
+}
+
+TEST(ParallelOverlay, SequencesWithUnknownInputs) {
+  const Circuit c = generated_with_constants(5);
+  const auto faults = enumerate_faults(c);
+  for (double x_prob : {0.1, 0.4, 0.9}) {
+    Rng rng(static_cast<std::uint64_t>(x_prob * 100) + 7);
+    const TestSequence t =
+        random_sequence_with_x(c.num_inputs(), 20, x_prob, rng);
+    const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+    expect_matches_serial(c, t, good, faults);
+  }
+}
+
+TEST(ParallelOverlay, PartialLastGroupAndEarlyDrop) {
+  const Circuit c = circuits::make_s27();
+  const auto all = enumerate_faults(c);
+  Rng rng(4);
+  const TestSequence t = random_sequence(4, 40, rng);
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+  const auto serial = ConventionalFaultSimulator(c).run(t, good, all);
+  // A group of detected faults only: drop-on-detect ends it before the
+  // last frame. Repeat them past one group so the second group is partial.
+  std::vector<Fault> detected;
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    if (serial[k].detected) detected.push_back(all[k]);
+  }
+  ASSERT_FALSE(detected.empty());
+  std::vector<Fault> faults;
+  while (faults.size() < 63 + 5) {
+    faults.push_back(detected[faults.size() % detected.size()]);
+  }
+  expect_matches_serial(c, t, good, faults);
+  // Detected faults followed by a partial group that mixes in the rest.
+  faults.insert(faults.end(), all.begin(), all.end());
+  ASSERT_NE(faults.size() % 63, 0u);
+  expect_matches_serial(c, t, good, faults);
+}
+
+TEST(ParallelOverlay, TraceWithAndWithoutLinesAgree) {
+  const Circuit c = generated_with_constants(21);
+  const auto faults = enumerate_faults(c);
+  Rng rng(22);
+  const TestSequence t = random_sequence_with_x(c.num_inputs(), 30, 0.2, rng);
+  const SequentialSimulator sim(c);
+  const SeqTrace bare = sim.run_fault_free(t);
+  const SeqTrace lined = sim.run_fault_free(t, /*keep_lines=*/true);
+  ASSERT_TRUE(bare.lines.empty());
+  const ParallelFaultSimulator pfs(c);
+  const auto a = pfs.run(t, bare, faults);
+  const auto b = pfs.run(t, lined, faults);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    EXPECT_EQ(a[k].detected, b[k].detected) << fault_name(c, faults[k]);
+    EXPECT_EQ(a[k].passes_c, b[k].passes_c) << fault_name(c, faults[k]);
+  }
+}
+
+TEST(ParallelOverlay, S5378StandinSliceAtOneAndFourThreads) {
+  const Circuit c = circuits::build_benchmark("s5378");
+  const auto collapsed = collapsed_fault_list(c);
+  std::vector<Fault> faults;
+  for (std::size_t k = 0; k < collapsed.size(); k += 16) {
+    faults.push_back(collapsed[k]);
+  }
+  Rng rng(5378);
+  const TestSequence t = random_sequence(c.num_inputs(), 40, rng);
+  const SeqTrace good =
+      SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
+  expect_matches_serial(c, t, good, faults, 1);
+  expect_matches_serial(c, t, good, faults, 4);
 }
 
 // ----------------------------------------------- incremental session ----

@@ -12,6 +12,10 @@
 
 #include "util/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace motsim {
 namespace {
 
@@ -20,6 +24,25 @@ TEST(ResolveThreadCount, ZeroMeansHardware) {
   EXPECT_EQ(resolve_thread_count(1), 1u);
   EXPECT_EQ(resolve_thread_count(5), 5u);
 }
+
+#if defined(__linux__)
+TEST(ResolveThreadCount, ZeroHonoursTheAffinityMask) {
+  // Pin this thread to one CPU of its mask: `0` must resolve to 1 lane, not
+  // to the machine's core count.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = resolve_thread_count(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(resolve_thread_count(0), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPool, SingleLaneRunsInline) {
   ThreadPool pool(1);
