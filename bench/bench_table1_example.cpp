@@ -87,8 +87,10 @@ void reproduction() {
     std::printf("(b) after expansion of state variable y%u at time unit %u\n",
                 p.i, p.u);
     const auto copies = set.duplicate_active();
-    for (const auto& [j, beta] : p.extra[0]) set.assign(0, p.u, j, beta);
-    for (const auto& [j, beta] : p.extra[1]) set.assign(copies[0], p.u, j, beta);
+    for (const auto& [j, beta] : collected.extra(p, 0)) set.assign(0, p.u, j, beta);
+    for (const auto& [j, beta] : collected.extra(p, 1)) {
+      set.assign(copies[0], p.u, j, beta);
+    }
     break;
   }
   set.resimulate();

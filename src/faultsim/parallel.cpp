@@ -62,8 +62,7 @@ GroupScratch::GroupScratch(const Circuit& c)
     : circuit_(&c),
       lv_(&c.levelized()),
       site_(c.num_gates(), 0),
-      vals_(c.num_gates()),
-      stamp_(c.num_gates(), 0),
+      overlay_(c.num_gates()),
       sweep_(c.levelized()) {}
 
 void GroupScratch::load(const Fault* faults, std::size_t n) {
@@ -93,17 +92,11 @@ void GroupScratch::initial_state(PVal* state) const {
 GroupScratch::FrameMasks GroupScratch::step(const Val* ref, PVal* state) {
   const Circuit& c = *circuit_;
   const LevelizedCircuit& lv = *lv_;
-  if (++now_ == 0) {  // stamp wrap-around: forget every stored value
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
-    now_ = 1;
-  }
-  // Stores v as line g's value unless it equals the fault-free value in
-  // every slot; returns whether it was stored.
-  auto diverge = [&](GateId g, const PVal& v) {
-    if (v == pv_splat(ref[g])) return false;
-    vals_[g] = v;
-    stamp_[g] = now_;
-    return true;
+  overlay_.begin();
+  // The group's packed value of line g in this frame, and its store.
+  const auto read = [&](GateId g) { return overlay_.read(g, ref); };
+  const auto diverge = [&](GateId g, const PVal& v) {
+    return overlay_.diverge(g, v, ref);
   };
 
   FrameMasks m;
@@ -134,7 +127,7 @@ GroupScratch::FrameMasks GroupScratch::step(const Val* ref, PVal* state) {
     const std::uint32_t n = lv.fanin_count(g);
     const GateId* fi = lv.fanins(g);
     PVal v = pv_eval_gate_fn(
-        t, n, [&](std::size_t k) { return read(fi[k], ref); });
+        t, n, [&](std::size_t k) { return read(fi[k]); });
     for (std::uint64_t b = site_[g]; b; b &= b - 1) {
       const unsigned s = std::countr_zero(b);
       const Fault& f = faults_[s];
@@ -145,7 +138,7 @@ GroupScratch::FrameMasks GroupScratch::step(const Val* ref, PVal* state) {
       // Re-evaluate this gate for slot s with the faulty pin forced.
       pv_set(v, s, eval_gate_fn(t, n, [&](std::size_t k) {
                return static_cast<int>(k) == f.pin ? f.stuck
-                                                   : pv_get(read(fi[k], ref), s);
+                                                   : pv_get(read(fi[k]), s);
              }));
     }
     return diverge(g, v);
@@ -154,8 +147,8 @@ GroupScratch::FrameMasks GroupScratch::step(const Val* ref, PVal* state) {
   for (std::size_t o = 0; o < c.num_outputs(); ++o) {
     const GateId g = c.outputs()[o];
     const Val good = ref[g];
-    if (!is_specified(good) || stamp_[g] != now_) continue;
-    const PVal& po = vals_[g];
+    if (!is_specified(good) || !overlay_.stored(g)) continue;
+    const PVal po = read(g);
     m.detected |= good == Val::One ? po.zeros : po.ones;
     m.x_output |= ~pv_specified_mask(po);
   }
@@ -163,7 +156,7 @@ GroupScratch::FrameMasks GroupScratch::step(const Val* ref, PVal* state) {
   // Latch next state with D-pin and Q-stem fault patching.
   for (std::size_t k = 0; k < c.num_dffs(); ++k) {
     const GateId q = c.dffs()[k];
-    PVal next = read(lv.dff_input(k), ref);
+    PVal next = read(lv.dff_input(k));
     for (std::uint64_t b = site_[q]; b; b &= b - 1) {
       const unsigned s = std::countr_zero(b);
       pv_set(next, s, faults_[s].stuck);

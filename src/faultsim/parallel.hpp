@@ -52,19 +52,12 @@ class GroupScratch {
   FrameMasks step(const Val* ref, PVal* state);
 
  private:
-  /// The group's packed value of line g in the current frame.
-  PVal read(GateId g, const Val* ref) const {
-    return stamp_[g] == now_ ? vals_[g] : pv_splat(ref[g]);
-  }
-
   const Circuit* circuit_;
   const LevelizedCircuit* lv_;
   const Fault* faults_ = nullptr;
   std::vector<std::uint64_t> site_;  // per gate: slots whose fault sits there
   std::vector<GateId> sites_;        // gates with a nonzero site_ entry
-  std::vector<PVal> vals_;           // diverged values where stamp_ == now_
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t now_ = 0;
+  PackedOverlay overlay_;            // the group's frame over `ref`
   ConeSweep sweep_;
 };
 

@@ -1,5 +1,7 @@
 #include "mot/collector.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace motsim {
@@ -15,9 +17,22 @@ BackwardCollector::BackwardCollector(const Circuit& c, const MotOptions& opt)
   }
 }
 
+void CollectionResult::add_plain_pair(std::uint32_t u, std::uint32_t i) {
+  PairInfo pair;
+  pair.u = u;
+  pair.i = i;
+  for (int a = 0; a < 2; ++a) {
+    pair.extra_off[a] = static_cast<std::uint32_t>(extras.size());
+    pair.extra_len[a] = 1;
+    extras.emplace_back(i, a == 0 ? Val::Zero : Val::One);
+  }
+  pairs.push_back(pair);
+}
+
 ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
                                      const FaultView& fv, std::uint32_t u,
-                                     std::uint32_t i, int alpha, PairInfo& pair) {
+                                     std::uint32_t i, int alpha, PairInfo& pair,
+                                     std::vector<ExtraVal>& extras) {
   const Circuit& c = *circuit_;
   const Val a = alpha == 0 ? Val::Zero : Val::One;
 
@@ -55,13 +70,14 @@ ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
     // read off the next-state (D-pin) values at frame u-1 for flip-flops
     // that conventional simulation left unspecified at u.
     const FrameVals& frame = faulty.lines[u - 1];
+    pair.extra_off[alpha] = static_cast<std::uint32_t>(extras.size());
     for (std::size_t j = 0; j < c.num_dffs(); ++j) {
       if (is_specified(faulty.states[u][j])) continue;
       const Val y = fv.next_state(j, frame);
-      if (is_specified(y)) {
-        pair.extra[alpha].emplace_back(static_cast<std::uint32_t>(j), y);
-      }
+      if (is_specified(y)) extras.emplace_back(static_cast<std::uint32_t>(j), y);
     }
+    pair.extra_len[alpha] =
+        static_cast<std::uint32_t>(extras.size()) - pair.extra_off[alpha];
   }
 
   // Roll every probed frame back, newest first.
@@ -75,11 +91,17 @@ ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
 CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faulty,
                                             const FaultView& fv,
                                             WorkBudget* budget) {
+  return collect(good, faulty, fv, count_nout(good, faulty), budget);
+}
+
+CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faulty,
+                                            const FaultView& fv,
+                                            std::span<const std::size_t> nout,
+                                            WorkBudget* budget) {
   const Circuit& c = *circuit_;
   assert(!faulty.lines.empty() && "collector needs a trace with line values");
   const std::size_t L = good.length();
-
-  const std::vector<std::size_t> nout = count_nout(good, faulty);
+  assert(nout.size() == L);
 
   CollectionResult result;
 
@@ -91,12 +113,7 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       result.capped = true;
       return result;
     }
-    PairInfo pair;
-    pair.u = 0;
-    pair.i = static_cast<std::uint32_t>(i);
-    pair.extra[0].emplace_back(static_cast<std::uint32_t>(i), Val::Zero);
-    pair.extra[1].emplace_back(static_cast<std::uint32_t>(i), Val::One);
-    result.pairs.push_back(std::move(pair));
+    result.add_plain_pair(0, static_cast<std::uint32_t>(i));
   }
 
   for (std::uint32_t u = 1; u <= L; ++u) {
@@ -116,18 +133,16 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       // Two backward probes per pair; the budget poll is what lets a
       // pathological fault stop mid-collection instead of hanging.
       if (budget != nullptr && budget->poll(2)) return result;
+      if (!options_.use_backward_implications) {
+        // [4]-style plain expansion: the pair specifies only itself.
+        result.add_plain_pair(u, i);
+        continue;
+      }
       PairInfo pair;
       pair.u = u;
       pair.i = i;
-      if (!options_.use_backward_implications) {
-        // [4]-style plain expansion: the pair specifies only itself.
-        pair.extra[0].emplace_back(i, Val::Zero);
-        pair.extra[1].emplace_back(i, Val::One);
-        result.pairs.push_back(std::move(pair));
-        continue;
-      }
-      probe(good, faulty, fv, u, i, 0, pair);
-      probe(good, faulty, fv, u, i, 1, pair);
+      probe(good, faulty, fv, u, i, 0, pair, result.extras);
+      probe(good, faulty, fv, u, i, 1, pair, result.extras);
       // Sound implications cannot refute both values: some concrete run of
       // the faulty machine realizes each reachable trace.
       assert(!(pair.conf[0] && pair.conf[1]));
@@ -137,10 +152,10 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       if ((pair.detect[0] && pair.side_closed(1)) ||
           (pair.detect[1] && pair.side_closed(0))) {
         result.detected_by_check = true;
-        result.pairs.push_back(std::move(pair));
+        result.pairs.push_back(pair);
         return result;
       }
-      result.pairs.push_back(std::move(pair));
+      result.pairs.push_back(pair);
     }
   }
   return result;
@@ -168,8 +183,12 @@ bool BackwardCollector::collect_packed_frame(const SeqTrace& good,
 
   PackedFrameImplicator::LaneSeed seeds[64];
   ImplOutcome outcomes[64];
+  std::uint32_t lane_off[64], lane_len[64];
+  std::vector<ExtraVal>& extras = result.extras;
+  cand_vals_.resize(cand_.size());
   for (std::size_t chunk = 0; chunk < cand_.size(); chunk += 32) {
     const std::size_t nc = std::min<std::size_t>(32, cand_.size() - chunk);
+    const std::size_t nl = 2 * nc;
     // The packed probe runs before the per-pair cap/budget checks below: a
     // stop mid-chunk wastes the remaining probed lanes, but the observable
     // results (pair list, classifications, budget charges, early returns)
@@ -179,58 +198,80 @@ bool BackwardCollector::collect_packed_frame(const SeqTrace& good,
       seeds[2 * p] = {d, Val::Zero};
       seeds[2 * p + 1] = {d, Val::One};
     }
-    packed_->run(
-        faulty.lines[u - 1], fv, good.outputs[u - 1],
-        std::span<const PackedFrameImplicator::LaneSeed>(seeds, 2 * nc),
-        options_.impl_mode, outcomes);
+    packed_->run(faulty.lines[u - 1], fv, good.outputs[u - 1],
+                 std::span<const PackedFrameImplicator::LaneSeed>(seeds, nl),
+                 options_.impl_mode, outcomes);
+
+    // extra(u,i,α) exactly as the serial probe reads it off the implied
+    // frame: next-state (D-pin) values for flip-flops that conventional
+    // simulation left unspecified at u — cand_ is precisely that list, in
+    // ascending order. Each candidate's D pin is read once for all Ok
+    // lanes; the sets are then laid out lane after lane (pair order) in the
+    // arena, each run in candidate order.
+    std::uint64_t ok = 0;
+    for (std::size_t l = 0; l < nl; ++l) {
+      if (outcomes[l] == ImplOutcome::Ok) ok |= 1ull << l;
+      lane_len[l] = 0;
+    }
+    for (std::size_t k = 0; k < cand_.size(); ++k) {
+      const std::uint32_t j = cand_[k];
+      const PVal y = j == fixed_j ? pv_splat(fv.fault()->stuck)
+                                  : packed_->packed_value(c.dff_input(j));
+      const std::uint64_t spec = (y.ones | y.zeros) & ok;
+      cand_vals_[k] = {y.ones & spec, y.zeros & spec};
+      for (std::uint64_t m = spec; m; m &= m - 1) ++lane_len[std::countr_zero(m)];
+    }
+    std::uint32_t end = static_cast<std::uint32_t>(extras.size());
+    for (std::size_t l = 0; l < nl; ++l) {
+      lane_off[l] = end;
+      end += lane_len[l];
+    }
+    extras.resize(end);
+    std::uint32_t fill[64];
+    std::copy(lane_off, lane_off + nl, fill);
+    for (std::size_t k = 0; k < cand_.size(); ++k) {
+      const PVal y = cand_vals_[k];
+      for (std::uint64_t m = y.ones | y.zeros; m; m &= m - 1) {
+        const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+        extras[fill[l]++] = {cand_[k], (y.ones >> l) & 1 ? Val::One : Val::Zero};
+      }
+    }
 
     for (std::size_t p = 0; p < nc; ++p) {
       const std::uint32_t i = cand_[chunk + p];
+      // A stop drops the sets of this pair and the rest of the chunk.
       if (result.pairs.size() >= options_.max_pairs) {
         result.capped = true;
+        extras.resize(lane_off[2 * p]);
         return false;
       }
-      if (budget != nullptr && budget->poll(2)) return false;
+      if (budget != nullptr && budget->poll(2)) {
+        extras.resize(lane_off[2 * p]);
+        return false;
+      }
       PairInfo pair;
       pair.u = u;
       pair.i = i;
       for (int a = 0; a < 2; ++a) {
-        const unsigned lane = static_cast<unsigned>(2 * p + a);
-        switch (outcomes[lane]) {
-          case ImplOutcome::Conflict:
-            pair.conf[a] = true;
-            break;
-          case ImplOutcome::Detected:
-            pair.detect[a] = true;
-            break;
-          case ImplOutcome::Ok:
-            // extra(u,i,α) exactly as the serial probe reads it off the
-            // implied frame: next-state (D-pin) values for flip-flops that
-            // conventional simulation left unspecified at u — cand_ is
-            // precisely that list, in ascending order.
-            for (const std::uint32_t j : cand_) {
-              const Val y = j == fixed_j ? fv.fault()->stuck
-                                         : packed_->value(c.dff_input(j), lane);
-              if (is_specified(y)) {
-                pair.extra[a].emplace_back(j, y);
-              }
-            }
-            break;
-        }
+        const std::size_t lane = 2 * p + static_cast<std::size_t>(a);
+        pair.conf[a] = outcomes[lane] == ImplOutcome::Conflict;
+        pair.detect[a] = outcomes[lane] == ImplOutcome::Detected;
+        pair.extra_off[a] = lane_off[lane];
+        pair.extra_len[a] = lane_len[lane];
       }
       // Sound implications cannot refute both values: some concrete run of
       // the faulty machine realizes each reachable trace.
       assert(!(pair.conf[0] && pair.conf[1]));
+      result.pairs.push_back(pair);
 
       // §3.2: detection on one side and conflict-or-detection on the other
       // closes the fault without any expansion.
       if ((pair.detect[0] && pair.side_closed(1)) ||
           (pair.detect[1] && pair.side_closed(0))) {
         result.detected_by_check = true;
-        result.pairs.push_back(std::move(pair));
+        extras.resize(pair.extra_off[1] + pair.extra_len[1]);
         return false;
       }
-      result.pairs.push_back(std::move(pair));
     }
   }
   return true;

@@ -21,7 +21,10 @@
 // extension the paper describes at the end of its Section 2.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "mot/counters.hpp"
@@ -32,28 +35,46 @@
 
 namespace motsim {
 
+/// One element of an extra() set: present-state variable y_j = β.
+using ExtraVal = std::pair<std::uint32_t, Val>;
+
 struct PairInfo {
   std::uint32_t u = 0;  ///< time unit of the present-state variable
   std::uint32_t i = 0;  ///< state-variable index
   bool conf[2] = {false, false};
   bool detect[2] = {false, false};
-  /// extra[a]: (j, β) pairs — PSV y_j = β at time u — valid only when side
+  /// extra(u,i,a) — PSVs y_j = β at time u — is the run of
+  /// extra_len[a] values at extra_off[a] in the owning CollectionResult's
+  /// arena (read it through CollectionResult::extra); valid only when side
   /// `a` recorded neither conflict nor detection.
-  std::vector<std::pair<std::uint32_t, Val>> extra[2];
+  std::uint32_t extra_off[2] = {0, 0};
+  std::uint32_t extra_len[2] = {0, 0};
 
   bool side_closed(int a) const { return conf[a] || detect[a]; }
   bool one_sided() const { return side_closed(0) != side_closed(1); }
   bool both_open() const { return !side_closed(0) && !side_closed(1); }
-  std::size_t n_extra(int a) const { return extra[a].size(); }
+  std::size_t n_extra(int a) const { return extra_len[a]; }
 };
 
 struct CollectionResult {
   std::vector<PairInfo> pairs;
+  /// Every pair's extra() sets, lane-contiguous. Pairs hold offsets, not
+  /// pointers, so a copied or moved result stays self-consistent.
+  std::vector<ExtraVal> extras;
   /// Fault concluded detected by the §3.2 check (detect one side,
   /// conflict-or-detect the other).
   bool detected_by_check = false;
   /// True when options.max_pairs stopped the enumeration early.
   bool capped = false;
+
+  /// extra(p.u, p.i, a), in ascending state-variable order.
+  std::span<const ExtraVal> extra(const PairInfo& p, int a) const {
+    return {extras.data() + p.extra_off[a], p.extra_len[a]};
+  }
+
+  /// Appends a pair whose sides specify only y_i itself (the [4]-style
+  /// plain split, and the synthesized u = 0 pairs).
+  void add_plain_pair(std::uint32_t u, std::uint32_t i);
 };
 
 class BackwardCollector {
@@ -70,10 +91,17 @@ class BackwardCollector {
   CollectionResult collect(const SeqTrace& good, SeqTrace& faulty,
                            const FaultView& fv, WorkBudget* budget = nullptr);
 
+  /// Same, for callers that already hold `nout` = count_nout(good, faulty).
+  CollectionResult collect(const SeqTrace& good, SeqTrace& faulty,
+                           const FaultView& fv, std::span<const std::size_t> nout,
+                           WorkBudget* budget = nullptr);
+
  private:
-  /// Probes one (u, i, α); fills the pair's side. Returns outcome.
+  /// Probes one (u, i, α); fills the pair's side, appending its extra() set
+  /// to `extras`. Returns outcome.
   ImplOutcome probe(const SeqTrace& good, SeqTrace& faulty, const FaultView& fv,
-                    std::uint32_t u, std::uint32_t i, int alpha, PairInfo& pair);
+                    std::uint32_t u, std::uint32_t i, int alpha, PairInfo& pair,
+                    std::vector<ExtraVal>& extras);
 
   /// Packed-probe body of collect() for one time unit u: probes the
   /// candidate variables 64 lanes (32 pairs) at a time, then replays the
@@ -90,6 +118,7 @@ class BackwardCollector {
   /// single-frame); deeper probes and the Legacy kernel use the serial path.
   std::optional<PackedFrameImplicator> packed_;
   std::vector<std::uint32_t> cand_;  // per-frame candidate scratch
+  std::vector<PVal> cand_vals_;      // per-candidate D-pin values, Ok lanes
 };
 
 }  // namespace motsim

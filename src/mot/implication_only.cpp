@@ -27,7 +27,8 @@ ImplicationOnlyResult ImplicationOnlySimulator::simulate_fault(
     result.detected_conventional = true;
     return result;
   }
-  if (!passes_condition_c(good, faulty)) return result;
+  const std::vector<std::size_t> nout = count_nout(good, faulty);
+  if (!passes_condition_c(nout, count_nsv(faulty))) return result;
   result.passes_c = true;
 
   // Detection comes from the collected implications alone (§3.2): the
@@ -35,7 +36,8 @@ ImplicationOnlyResult ImplicationOnlySimulator::simulate_fault(
   // per-fault budget bounds the probe sweep like every other procedure.
   WorkBudget budget(Deadline::after_ms(options_.per_fault_time_ms),
                     options_.per_fault_work_limit);
-  const CollectionResult collected = collector_.collect(good, faulty, fv, &budget);
+  const CollectionResult collected =
+      collector_.collect(good, faulty, fv, nout, &budget);
   result.detected = collected.detected_by_check;
   result.budget_stopped = budget.exhausted();
   return result;

@@ -10,6 +10,7 @@ namespace motsim {
 PackedFrameImplicator::PackedFrameImplicator(const Circuit& c)
     : circuit_(&c), lev_(&c.levelized()) {
   in_queue_.assign(c.num_gates(), 0);
+  queue_.resize(c.num_gates());
 }
 
 void PackedFrameImplicator::refine_line(GateId line, std::uint64_t ones,
@@ -360,36 +361,51 @@ void PackedFrameImplicator::run(const FrameVals& base, const FaultView& fv,
       forward_at(fv, topo[k]);
     }
   } else {
+    // FIFO ring over queue_: a gate is queued at most once at a time, so
+    // num_gates slots always suffice. Inputs and flip-flop outputs are
+    // never applied — apply_at does nothing for them — but a change on
+    // them still wakes their readers.
+    const std::size_t cap = queue_.size();
+    std::size_t head = 0, tail = 0, queued = 0;
     auto enqueue = [&](GateId g) {
-      if (!in_queue_[g]) {
-        in_queue_[g] = 1;
-        queue_.push_back(g);
-      }
+      const GateType t = lev_->type(g);
+      if (in_queue_[g] || t == GateType::Input || t == GateType::Dff) return;
+      in_queue_[g] = 1;
+      queue_[tail] = g;
+      if (++tail == cap) tail = 0;
+      ++queued;
+    };
+    auto wake_readers = [&](GateId line) {
+      const GateId* ro = lev_->fanouts(line);
+      const std::uint32_t nro = lev_->fanout_count(line);
+      for (std::uint32_t r = 0; r < nro; ++r) enqueue(ro[r]);
     };
     // Wake every seed line's neighbourhood (a superset of the serial per-lane
     // seeding: applications where nothing changed are monotone no-ops).
     for (std::size_t l = 0; l < n; ++l) {
       enqueue(seeds[l].line);
-      const GateId* ro = lev_->fanouts(seeds[l].line);
-      const std::uint32_t nro = lev_->fanout_count(seeds[l].line);
-      for (std::uint32_t r = 0; r < nro; ++r) enqueue(ro[r]);
+      wake_readers(seeds[l].line);
     }
-    while (!queue_.empty() && live_) {
-      const GateId g = queue_.back();
-      queue_.pop_back();
+    while (queued > 0 && live_) {
+      const GateId g = queue_[head];
+      if (++head == cap) head = 0;
+      --queued;
       in_queue_[g] = 0;
       const std::size_t before = changed_.size();
       apply_at(fv, g);
       for (std::size_t c = before; c < changed_.size(); ++c) {
         const GateId line = changed_[c];
-        enqueue(line);
-        const GateId* ro = lev_->fanouts(line);
-        const std::uint32_t nro = lev_->fanout_count(line);
-        for (std::uint32_t r = 0; r < nro; ++r) enqueue(ro[r]);
+        // apply_at already ran g's backward rules on its fresh output, so a
+        // change of g's own output does not re-wake g; a changed pin does,
+        // through that pin's readers.
+        if (line != g) enqueue(line);
+        wake_readers(line);
       }
     }
-    for (GateId g : queue_) in_queue_[g] = 0;
-    queue_.clear();
+    for (; queued > 0; --queued) {  // lanes all frozen: drop the rest
+      in_queue_[queue_[head]] = 0;
+      if (++head == cap) head = 0;
+    }
   }
 
   // Detection check for the lanes that propagated to quiescence.

@@ -15,11 +15,20 @@
 //   * TwoPass mode applies exactly the serial gate order (one reverse-topo
 //     backward pass, one topo forward pass) to all lanes, so every lane sees
 //     the identical application sequence.
-//   * Fixpoint mode uses one global worklist over the union of the lanes'
-//     dirty cones. Rule applications on lanes with nothing new are no-ops
-//     (refinement is monotone), and the fixpoint of a monotone rule closure
-//     is unique — so each lane converges to the same values, conflicts, and
-//     detection verdict as its serial worklist would, regardless of order.
+//   * Fixpoint mode uses one global FIFO worklist over the union of the
+//     lanes' dirty cones. Rule applications on lanes with nothing new are
+//     no-ops (refinement is monotone), and the fixpoint of a monotone rule
+//     closure is unique — so each lane converges to the same values,
+//     conflicts, and detection verdict as its serial worklist would,
+//     regardless of order. Two exact trims skip applications whose result
+//     is already known: a gate is not re-woken by a change of its own
+//     output (its application already ran the backward rules on the fresh
+//     output, and any pin it changed re-wakes it through that pin's
+//     readers), and inputs and flip-flop outputs are never queued (no rule
+//     applies at them), though a change on them wakes their readers. The
+//     queue is still empty only when every gate is at its fixpoint, so the
+//     result is unchanged; on the s5378 Table 2 workload FIFO order and the
+//     trims cut worklist pops by about 40%.
 //
 // The base frame is never mutated (lanes are gathered into packed scratch),
 // so there is no undo trail and probes cannot interfere.
@@ -53,10 +62,9 @@ class PackedFrameImplicator {
            std::span<const Val> good_out, std::span<const LaneSeed> seeds,
            ImplMode mode, ImplOutcome* outcomes);
 
-  /// Post-implication value of `line` in `lane`; meaningful for Ok lanes.
-  Val value(GateId line, unsigned lane) const {
-    return pv_get(pframe_[line], lane);
-  }
+  /// Post-implication values of `line`, one per lane; meaningful for the
+  /// Ok lanes.
+  const PVal& packed_value(GateId line) const { return pframe_[line]; }
 
  private:
   /// Packed forward step at g (serial forward_at for every live lane).
@@ -99,7 +107,7 @@ class PackedFrameImplicator {
   std::vector<GateId> changed_;        // lines changed in any lane, in order
   std::vector<PVal> pins_;             // per-gate pin value scratch
   std::vector<std::uint64_t> pin_x_;   // per-pin X-lane masks
-  // Fixpoint worklist state.
+  // Fixpoint worklist state: a FIFO ring of num_gates slots.
   std::vector<GateId> queue_;
   std::vector<std::uint8_t> in_queue_;
 };

@@ -1,6 +1,7 @@
 #include "mot/proposed.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace motsim {
@@ -29,23 +30,17 @@ namespace {
 
 /// The candidate pool [4] works with: every unspecified (u, i) splits into
 /// exactly {(i,0)} / {(i,1)} with no implication information.
-std::vector<PairInfo> plain_pairs(const Circuit& c, const SeqTrace& faulty,
-                                  const std::vector<std::size_t>& nout) {
-  std::vector<PairInfo> pairs;
+CollectionResult plain_pairs(const Circuit& c, const SeqTrace& faulty,
+                             std::span<const std::size_t> nout) {
+  CollectionResult pool;
   const std::size_t L = faulty.length();
   for (std::uint32_t u = 0; u <= L; ++u) {
     if (u > 0 && nout[u - 1] == 0) continue;
     for (std::uint32_t i = 0; i < c.num_dffs(); ++i) {
-      if (is_specified(faulty.states[u][i])) continue;
-      PairInfo pair;
-      pair.u = u;
-      pair.i = i;
-      pair.extra[0].emplace_back(i, Val::Zero);
-      pair.extra[1].emplace_back(i, Val::One);
-      pairs.push_back(std::move(pair));
+      if (!is_specified(faulty.states[u][i])) pool.add_plain_pair(u, i);
     }
   }
-  return pairs;
+  return pool;
 }
 
 UnresolvedReason reason_of(BudgetStop stop) {
@@ -60,9 +55,9 @@ UnresolvedReason reason_of(BudgetStop stop) {
 
 }  // namespace
 
-std::vector<const PairInfo*> MotFaultSimulator::sorted_candidates(
-    const std::vector<PairInfo>& pairs, const std::vector<std::size_t>& nout,
-    const std::vector<std::size_t>& nsv) const {
+std::vector<const PairInfo*> rank_expansion_candidates(
+    std::span<const PairInfo> pairs, std::span<const std::size_t> nout,
+    std::span<const std::size_t> nsv, SelectionPolicy policy) {
   // Step 3's static part: candidates must be two-sided, with N_out(u) > 0
   // and N_sv(u) > 0 (there must be something left to specify, and somewhere
   // to observe it). Ranked once by the static criteria of steps 4-6; a
@@ -70,29 +65,63 @@ std::vector<const PairInfo*> MotFaultSimulator::sorted_candidates(
   // is exactly the filter cascade of Procedure 2 — state sequences only
   // become more specified, so a pair that fails the constraint once can be
   // discarded permanently.
-  std::vector<const PairInfo*> order;
-  for (const PairInfo& p : pairs) {
-    if (!p.both_open()) continue;
-    if (p.u >= nout.size() || nout[p.u] == 0 || nsv[p.u] == 0) continue;
-    order.push_back(&p);
+  const auto eligible = [&](const PairInfo& p) {
+    return p.both_open() && p.u < nout.size() && nout[p.u] > 0 && nsv[p.u] > 0;
+  };
+  const bool full = policy == SelectionPolicy::Full;
+
+  // Criteria (1)-(2) depend only on u: rank the eligible time units once by
+  // (N_out descending, N_sv ascending), equal classes sharing a rank.
+  std::vector<std::uint32_t> units;
+  for (std::uint32_t u = 0; u < nout.size(); ++u) {
+    if (nout[u] > 0 && nsv[u] > 0) units.push_back(u);
   }
-  const bool full = options_.selection == SelectionPolicy::Full;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const PairInfo* a, const PairInfo* b) {
-                     if (nout[a->u] != nout[b->u]) return nout[a->u] > nout[b->u];
-                     if (nsv[a->u] != nsv[b->u]) return nsv[a->u] < nsv[b->u];
-                     if (!full) return false;
-                     const std::size_t amin = std::min(a->n_extra(0), a->n_extra(1));
-                     const std::size_t bmin = std::min(b->n_extra(0), b->n_extra(1));
-                     if (amin != bmin) return amin > bmin;
-                     const std::size_t amax = std::max(a->n_extra(0), a->n_extra(1));
-                     const std::size_t bmax = std::max(b->n_extra(0), b->n_extra(1));
-                     return amax > bmax;
-                   });
+  const auto before = [&](std::uint32_t a, std::uint32_t b) {
+    if (nout[a] != nout[b]) return nout[a] > nout[b];
+    return nsv[a] < nsv[b];
+  };
+  std::sort(units.begin(), units.end(), before);
+  std::vector<std::uint64_t> unit_rank(nout.size(), 0);
+  for (std::size_t k = 1; k < units.size(); ++k) {
+    unit_rank[units[k]] =
+        unit_rank[units[k - 1]] + (before(units[k - 1], units[k]) ? 1 : 0);
+  }
+
+  // Criteria (3)-(4) under Full: larger min, then larger max extra() set
+  // first — stored as complements so that one ascending integer key ranks
+  // all four criteria.
+  std::size_t max_extra = 0;
+  if (full) {
+    for (const PairInfo& p : pairs) {
+      if (eligible(p)) max_extra = std::max({max_extra, p.n_extra(0), p.n_extra(1)});
+    }
+  }
+  const int w = std::bit_width(max_extra);
+  assert(std::bit_width(units.size()) + 2 * w <= 64);
+  const std::uint64_t top = (std::uint64_t{1} << w) - 1;
+
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  for (std::uint32_t k = 0; k < pairs.size(); ++k) {
+    const PairInfo& p = pairs[k];
+    if (!eligible(p)) continue;
+    std::uint64_t key = unit_rank[p.u] << (2 * w);
+    if (full) {
+      const std::uint64_t lo = std::min(p.n_extra(0), p.n_extra(1));
+      const std::uint64_t hi = std::max(p.n_extra(0), p.n_extra(1));
+      key |= (top - lo) << w | (top - hi);
+    }
+    keyed.emplace_back(key, k);
+  }
+  // (key, index) pairs are distinct: this is the stable order by key.
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<const PairInfo*> order;
+  order.reserve(keyed.size());
+  for (const auto& [key, k] : keyed) order.push_back(&pairs[k]);
   return order;
 }
 
-const PairInfo* MotFaultSimulator::select_pair(std::vector<const PairInfo*>& order,
+const PairInfo* MotFaultSimulator::select_pair(const CollectionResult& pool,
+                                               std::vector<const PairInfo*>& order,
                                                std::size_t& cursor,
                                                const StateSet& set) {
   // The constraint of step 3: every variable of sv(u,i) — the union of the
@@ -101,7 +130,7 @@ const PairInfo* MotFaultSimulator::select_pair(std::vector<const PairInfo*>& ord
   // cheaper to re-check than to deduplicate.
   auto valid = [&](const PairInfo* p) {
     for (int a : {0, 1}) {
-      for (const auto& [j, beta] : p->extra[a]) {
+      for (const auto& [j, beta] : pool.extra(*p, a)) {
         (void)beta;
         if (!set.unspecified_everywhere(p->u, j)) return false;
       }
@@ -129,7 +158,7 @@ WorkBudget MotFaultSimulator::make_budget() const {
 }
 
 bool MotFaultSimulator::expand_and_resimulate(
-    const std::vector<PairInfo>& pairs, const TestSequence& test,
+    const CollectionResult& pool, const TestSequence& test,
     const SeqTrace& good, const SeqTrace& faulty, const FaultView& fv,
     const std::vector<std::size_t>& nout, const std::vector<std::size_t>& nsv,
     bool apply_phase1, WorkBudget& budget, MotResult& result) {
@@ -140,7 +169,7 @@ bool MotFaultSimulator::expand_and_resimulate(
   // that value is already detected. Either way only y_i = ᾱ survives, and
   // the values implied for that side refine S0 in place.
   if (apply_phase1) {
-    for (const PairInfo& p : pairs) {
+    for (const PairInfo& p : pool.pairs) {
       if (!p.one_sided()) continue;
       const int closed = p.side_closed(0) ? 0 : 1;
       const int open = 1 - closed;
@@ -151,14 +180,15 @@ bool MotFaultSimulator::expand_and_resimulate(
         result.counters.n_conf += 1;
       }
       result.counters.n_extra += p.n_extra(open);
-      for (const auto& [j, beta] : p.extra[open]) {
+      for (const auto& [j, beta] : pool.extra(p, open)) {
         set.assign(0, p.u, j, beta);
       }
     }
   }
 
   // Procedure 2, steps 3-10 (phase 2): duplicating expansions.
-  std::vector<const PairInfo*> order = sorted_candidates(pairs, nout, nsv);
+  std::vector<const PairInfo*> order =
+      rank_expansion_candidates(pool.pairs, nout, nsv, options_.selection);
   std::size_t cursor = 0;
   while (set.size() * 2 <= options_.n_states) {
     // An expansion duplicates every active sequence, so its cost scales
@@ -166,7 +196,7 @@ bool MotFaultSimulator::expand_and_resimulate(
     // growth would reach a huge N_STATES in too few polls for the clock
     // stride to ever observe the deadline.
     if (budget.poll(set.size())) return false;  // caller reads the reason
-    const PairInfo* pick = select_pair(order, cursor, set);
+    const PairInfo* pick = select_pair(pool, order, cursor, set);
     if (pick == nullptr) break;
     ++result.expansions;
     result.counters.n_extra += pick->n_extra(0) + pick->n_extra(1);
@@ -176,10 +206,14 @@ bool MotFaultSimulator::expand_and_resimulate(
     // Originals take extra(u,i,0), copies take extra(u,i,1).
     for (std::size_t s = 0; s < originals; ++s) {
       if (set.seq(s).status != SeqStatus::Active) continue;
-      for (const auto& [j, beta] : pick->extra[0]) set.assign(s, pick->u, j, beta);
+      for (const auto& [j, beta] : pool.extra(*pick, 0)) {
+        set.assign(s, pick->u, j, beta);
+      }
     }
     for (std::size_t s : copies) {
-      for (const auto& [j, beta] : pick->extra[1]) set.assign(s, pick->u, j, beta);
+      for (const auto& [j, beta] : pool.extra(*pick, 1)) {
+        set.assign(s, pick->u, j, beta);
+      }
     }
   }
 
@@ -214,8 +248,12 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
     return result;
   }
 
+  // N_out and N_sv of the conventional trace, shared by every stage below.
+  const std::vector<std::size_t> nout = count_nout(good, faulty);
+  const std::vector<std::size_t> nsv = count_nsv(faulty);
+
   // Necessary condition (C).
-  if (!passes_condition_c(good, faulty)) {
+  if (!passes_condition_c(nout, nsv)) {
     result.phase = MotPhase::FailedCondC;
     return result;
   }
@@ -239,7 +277,8 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
   };
 
   // Procedure 1, steps 1-2: collect and check.
-  CollectionResult collected = collector_.collect(good, faulty, fv, &budget);
+  const CollectionResult collected =
+      collector_.collect(good, faulty, fv, nout, &budget);
   result.collection_capped = collected.capped;
   if (collected.detected_by_check) {
     result.detected = true;
@@ -248,11 +287,8 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
   }
   if (budget.exhausted()) return finish(result);
 
-  const std::vector<std::size_t> nout = count_nout(good, faulty);
-  const std::vector<std::size_t> nsv = count_nsv(faulty);
-
   // Procedure 2 + §3.4 with the collected (implication-enriched) pairs.
-  if (expand_and_resimulate(collected.pairs, test, good, faulty, fv, nout, nsv,
+  if (expand_and_resimulate(collected, test, good, faulty, fv, nout, nsv,
                             options_.use_phase1, budget, result)) {
     result.detected = true;
     result.phase = MotPhase::Expansion;

@@ -16,6 +16,8 @@
 // responses.
 #pragma once
 
+#include <span>
+
 #include "faultsim/conventional.hpp"
 #include "mot/collector.hpp"
 #include "mot/options.hpp"
@@ -78,6 +80,16 @@ struct MotResult {
   friend bool operator==(const MotResult&, const MotResult&) = default;
 };
 
+/// Step 3's static filtering plus the static ranking of steps 4-6 (done
+/// once per fault; see proposed.cpp for why this is equivalent to the
+/// paper's per-iteration filter cascade): the two-sided pairs with
+/// N_out(u) > 0 and N_sv(u) > 0, ordered by N_out(u) descending, N_sv(u)
+/// ascending and — under SelectionPolicy::Full only — the smaller, then the
+/// larger extra() set descending; ties keep the order of `pairs`.
+std::vector<const PairInfo*> rank_expansion_candidates(
+    std::span<const PairInfo> pairs, std::span<const std::size_t> nout,
+    std::span<const std::size_t> nsv, SelectionPolicy policy);
+
 class MotFaultSimulator {
  public:
   explicit MotFaultSimulator(const Circuit& c, MotOptions options = {});
@@ -112,20 +124,14 @@ class MotFaultSimulator {
   }
 
  private:
-  /// Step 3's static filtering plus the static ranking of steps 4-6 (done
-  /// once per fault; see proposed.cpp for why this is equivalent to the
-  /// paper's per-iteration filter cascade).
-  std::vector<const PairInfo*> sorted_candidates(
-      const std::vector<PairInfo>& pairs, const std::vector<std::size_t>& nout,
-      const std::vector<std::size_t>& nsv) const;
-
   /// Procedure 2 steps 3-7: picks the next pair to expand, or nullptr.
-  const PairInfo* select_pair(std::vector<const PairInfo*>& order,
+  const PairInfo* select_pair(const CollectionResult& pool,
+                              std::vector<const PairInfo*>& order,
                               std::size_t& cursor, const StateSet& set);
 
   /// Procedure 2 (phases 1-2) + §3.4 over a given candidate pool. Returns
   /// true when every sequence resolved (fault detected).
-  bool expand_and_resimulate(const std::vector<PairInfo>& pairs,
+  bool expand_and_resimulate(const CollectionResult& pool,
                              const TestSequence& test, const SeqTrace& good,
                              const SeqTrace& faulty, const FaultView& fv,
                              const std::vector<std::size_t>& nout,

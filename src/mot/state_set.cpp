@@ -20,9 +20,14 @@ StateSet::StateSet(const Circuit& c, const TestSequence& test, const SeqTrace& g
   s0.states = faulty.states;
   seqs_.push_back(std::move(s0));
   marked_.assign(test.length(), 0);
-  frame_.assign(c.num_gates(), Val::X);
-  level_buckets_.assign(c.max_level() + 1, {});
-  pending_.assign(c.num_gates(), 0);
+  if (lev_ != nullptr) {
+    sweep_.emplace(*lev_);
+    overlay_ = PackedOverlay(c.num_gates());
+  } else {
+    frame_.assign(c.num_gates(), Val::X);
+    level_buckets_.assign(c.max_level() + 1, {});
+    pending_.assign(c.num_gates(), 0);
+  }
 }
 
 std::size_t StateSet::active_count() const {
@@ -192,93 +197,53 @@ void StateSet::eval_frame_packed(std::size_t u, const std::uint32_t* lane_seq,
                                  std::uint64_t do_eval) {
   const Circuit& c = *circuit_;
   const LevelizedCircuit& lv = *lev_;
-  const bool incremental = !faulty_->lines.empty();
-  if (pframe_.size() != c.num_gates()) pframe_.resize(c.num_gates());
+  overlay_.begin();
+  const auto read = [&](GateId x) { return overlay_.read(x, base_); };
+  // Flip-flop j's present state at u in every evaluated lane, over `pv`.
+  const auto lane_states = [&](std::size_t j, PVal pv) {
+    for (std::uint64_t m = do_eval; m;) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+      m &= m - 1;
+      pv_set(pv, l, seqs_[lane_seq[l]].states[u][j]);
+    }
+    return pv;
+  };
 
-  if (!incremental) {
-    // Full packed sweep: splat the applied inputs, gather each lane's
-    // present state, evaluate every combinational gate once for all lanes.
+  if (faulty_->lines.empty()) {
+    // Full packed sweep over an all-X base: apply the inputs, gather each
+    // lane's present state, evaluate every combinational gate once for all
+    // lanes.
+    if (unknown_.size() != c.num_gates()) unknown_.assign(c.num_gates(), Val::X);
+    base_ = unknown_.data();
     for (std::size_t k = 0; k < c.num_inputs(); ++k) {
-      pframe_[c.inputs()[k]] = pv_splat(fv_->input_value(k, test_->at(u, k)));
+      overlay_.diverge(c.inputs()[k],
+                       pv_splat(fv_->input_value(k, test_->at(u, k))), base_);
     }
     for (std::size_t j = 0; j < c.num_dffs(); ++j) {
-      PVal pv{};
-      std::uint64_t m = do_eval;
-      while (m) {
-        const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        m &= m - 1;
-        pv_set(pv, l, seqs_[lane_seq[l]].states[u][j]);
-      }
-      pframe_[c.dffs()[j]] = pv;
+      overlay_.diverge(c.dffs()[j], lane_states(j, pv_all_x()), base_);
     }
     for (GateId g : lv.order()) {
-      pframe_[g] = packed_eval_gate(lv, *fv_, g, pframe_);
+      overlay_.diverge(g, packed_eval_gate_fn(lv, *fv_, g, read), base_);
     }
     return;
   }
 
-  // Incremental packed sweep: every lane starts from the conventional frame
-  // (a simulation fixpoint, so lanes whose flip-flops keep the base value
-  // recompute to the base value and never produce spurious events); flip-
-  // flops whose stored state differs in some lane seed the dirty cone, which
-  // is then evaluated level by level for all lanes at once.
-  const FrameVals& base = faulty_->lines[u];
-  for (GateId g = 0; g < c.num_gates(); ++g) pframe_[g] = pv_splat(base[g]);
-
-  std::size_t max_dirty_level = 0;
-  bool any = false;
+  // Incremental packed sweep over the conventional frame: every lane starts
+  // from it (a simulation fixpoint, so lanes whose flip-flops keep the base
+  // value recompute to the base value and never produce spurious events).
+  // Flip-flops whose stored state differs in some lane seed the dirty cone,
+  // which is evaluated level by level for all lanes at once; only lines
+  // that differ from the base in some lane are stored.
+  base_ = faulty_->lines[u].data();
   for (std::size_t j = 0; j < c.num_dffs(); ++j) {
     const GateId q = c.dffs()[j];
-    const Val bv = base[q];
-    PVal pv = pframe_[q];
-    bool diff = false;
-    std::uint64_t m = do_eval;
-    while (m) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-      m &= m - 1;
-      const Val sv = seqs_[lane_seq[l]].states[u][j];
-      if (sv != bv) {
-        pv_set(pv, l, sv);
-        diff = true;
-      }
-    }
-    if (!diff) continue;
-    pframe_[q] = pv;
-    any = true;
-    const GateId* ro = lv.fanouts(q);
-    const std::uint32_t nro = lv.fanout_count(q);
-    for (std::uint32_t r = 0; r < nro; ++r) {
-      const GateId reader = ro[r];
-      if (!pending_[reader] && lv.type(reader) != GateType::Dff) {
-        pending_[reader] = 1;
-        level_buckets_[lv.level(reader)].push_back(reader);
-        max_dirty_level = std::max<std::size_t>(max_dirty_level, lv.level(reader));
-      }
+    if (overlay_.diverge(q, lane_states(j, pv_splat(base_[q])), base_)) {
+      sweep_->mark_readers(q);
     }
   }
-  if (!any) return;
-  for (std::size_t lvl = 0; lvl <= max_dirty_level; ++lvl) {
-    auto& bucket = level_buckets_[lvl];
-    for (std::size_t b = 0; b < bucket.size(); ++b) {
-      const GateId g = bucket[b];
-      pending_[g] = 0;
-      const PVal newv = packed_eval_gate(lv, *fv_, g, pframe_);
-      if (newv == pframe_[g]) continue;
-      pframe_[g] = newv;
-      const GateId* ro = lv.fanouts(g);
-      const std::uint32_t nro = lv.fanout_count(g);
-      for (std::uint32_t r = 0; r < nro; ++r) {
-        const GateId reader = ro[r];
-        if (!pending_[reader] && lv.type(reader) != GateType::Dff) {
-          pending_[reader] = 1;
-          level_buckets_[lv.level(reader)].push_back(reader);
-          max_dirty_level =
-              std::max<std::size_t>(max_dirty_level, lv.level(reader));
-        }
-      }
-    }
-    bucket.clear();
-  }
+  sweep_->drain([&](GateId g) {
+    return overlay_.diverge(g, packed_eval_gate_fn(lv, *fv_, g, read), base_);
+  });
 }
 
 void StateSet::resimulate_packed(WorkBudget* budget) {
@@ -329,7 +294,7 @@ void StateSet::resimulate_packed(WorkBudget* budget) {
       for (std::size_t o = 0; o < c.num_outputs(); ++o) {
         const Val gv = good_->outputs[u][o];
         if (!is_specified(gv)) continue;
-        const PVal& pv = pframe_[c.outputs()[o]];
+        const PVal pv = overlay_.read(c.outputs()[o], base_);
         det |= gv == Val::One ? pv.zeros : pv.ones;
       }
       det &= do_eval;
@@ -343,16 +308,19 @@ void StateSet::resimulate_packed(WorkBudget* budget) {
       // Next-state comparison against the stored state at u+1 for the
       // surviving evaluated lanes; a conflict at flip-flop j stops the
       // refinement of that lane (matching the legacy kernel's early return).
+      // Stored states refine the conventional trace, so a lane whose next
+      // state equals the conventional one cannot change or conflict: only
+      // the lanes that differ from it are refined.
       std::uint64_t refn = do_eval & ~det;
       for (std::size_t j = 0; j < c.num_dffs() && refn; ++j) {
         const GateId q = c.dffs()[j];
-        PVal npv;
-        if (fv_->out_fixed(q) || fv_->pin_fixed(q, 0)) {
-          npv = pv_splat(fv_->fault()->stuck);
-        } else {
-          npv = pframe_[lv.dff_input(j)];
-        }
-        for (std::uint64_t m = refn; m;) {
+        const PVal npv = fv_->out_fixed(q) || fv_->pin_fixed(q, 0)
+                             ? pv_splat(fv_->fault()->stuck)
+                             : overlay_.read(lv.dff_input(j), base_);
+        const PVal conv = pv_splat(faulty_->states[u + 1][j]);
+        const std::uint64_t differ =
+            refn & ((npv.ones ^ conv.ones) | (npv.zeros ^ conv.zeros));
+        for (std::uint64_t m = differ; m;) {
           const unsigned l = static_cast<unsigned>(std::countr_zero(m));
           m &= m - 1;
           StateSeq& seq = seqs_[lane_seq[l]];

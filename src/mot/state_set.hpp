@@ -30,11 +30,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "fault/fault_view.hpp"
 #include "logic/pval.hpp"
 #include "mot/counters.hpp"
+#include "sim/frame_kernel.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/test_sequence.hpp"
 #include "util/deadline.hpp"
@@ -105,7 +107,8 @@ class StateSet {
   void resimulate_packed(WorkBudget* budget);
 
   /// Packed evaluation of time unit u for the lanes in `do_eval`
-  /// (lane l simulates seqs_[lane_seq[l]]); results land in pframe_.
+  /// (lane l simulates seqs_[lane_seq[l]]); line g then reads
+  /// overlay_.read(g, base_).
   void eval_frame_packed(std::size_t u, const std::uint32_t* lane_seq,
                          std::uint64_t do_eval);
 
@@ -124,14 +127,17 @@ class StateSet {
   const LevelizedCircuit* lev_ = nullptr;  ///< non-null iff SoA kernel
   std::vector<StateSeq> seqs_;
   std::vector<std::uint8_t> marked_;  // time units touched since last resim
-  FrameVals frame_;                   // scratch
-  // Event-driven scratch: per-level pending gates (shared by both kernels).
+  // Legacy-kernel scratch: the frame and per-level pending gates.
+  FrameVals frame_;
   std::vector<std::vector<GateId>> level_buckets_;
   std::vector<std::uint8_t> pending_;
   // Packed-kernel scratch.
   std::vector<std::uint32_t> lanes_;   // active sequence indices per pass
   std::vector<std::uint64_t> carry_;   // per-frame lane bits marked mid-pass
-  std::vector<PVal> pframe_;           // packed frame values
+  std::optional<ConeSweep> sweep_;     // dirty cone of the evaluated frame
+  PackedOverlay overlay_;              // evaluated frame over base_
+  const Val* base_ = nullptr;          // conventional frame (or unknown_)
+  FrameVals unknown_;                  // all-X base when the trace has no lines
 };
 
 }  // namespace motsim

@@ -9,6 +9,8 @@
 // tests); they only differ in memory layout and work skipped.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "fault/fault_view.hpp"
@@ -19,25 +21,72 @@
 
 namespace motsim {
 
-/// Packed (64-lane) gate evaluation reading fanin values out of `pframe`,
+/// Packed (64-lane) gate evaluation reading fanin line x as `read(x)`,
 /// honouring the fault patch exactly like FaultView::eval: a stem-stuck gate
 /// produces the stuck value and a pin-faulted gate reads the stuck value on
 /// the faulted pin. Shared by every packed kernel.
-inline PVal packed_eval_gate(const LevelizedCircuit& lv, const FaultView& fv,
-                             GateId g, const std::vector<PVal>& pframe) {
+template <typename Read>
+PVal packed_eval_gate_fn(const LevelizedCircuit& lv, const FaultView& fv,
+                         GateId g, Read&& read) {
   if (fv.out_fixed(g)) return pv_splat(fv.fault()->stuck);
   const GateId* fi = lv.fanins(g);
   const bool pin_fault =
       fv.fault() && fv.fault()->pin != kOutputPin && fv.fault()->gate == g;
   if (!pin_fault) {
     return pv_eval_gate_fn(lv.type(g), lv.fanin_count(g),
-                           [&](std::size_t k) { return pframe[fi[k]]; });
+                           [&](std::size_t k) { return read(fi[k]); });
   }
   return pv_eval_gate_fn(lv.type(g), lv.fanin_count(g), [&](std::size_t k) {
     if (fv.pin_fixed(g, k)) return pv_splat(fv.fault()->stuck);
-    return pframe[fi[k]];
+    return PVal(read(fi[k]));
   });
 }
+
+/// packed_eval_gate_fn over a full packed frame.
+inline PVal packed_eval_gate(const LevelizedCircuit& lv, const FaultView& fv,
+                             GateId g, const std::vector<PVal>& pframe) {
+  return packed_eval_gate_fn(
+      lv, fv, g, [&](GateId x) -> const PVal& { return pframe[x]; });
+}
+
+/// A packed frame kept as an overlay on a scalar base frame: line g reads
+/// its stored PVal when that carries the current frame's stamp, and the
+/// splat of the base value otherwise. A frame therefore costs only the lines
+/// it stores, not a splat of every line. begin() starts a new frame in O(1).
+class PackedOverlay {
+ public:
+  explicit PackedOverlay(std::size_t num_lines = 0)
+      : vals_(num_lines), stamp_(num_lines, 0) {}
+
+  /// Forgets every stored value: each line reads its base value again.
+  void begin() {
+    if (++now_ == 0) {  // stamp wrap-around: clear every stale stamp
+      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      now_ = 1;
+    }
+  }
+
+  bool stored(GateId g) const { return stamp_[g] == now_; }
+
+  PVal read(GateId g, const Val* base) const {
+    return stored(g) ? vals_[g] : pv_splat(base[g]);
+  }
+
+  /// Stores v as line g's value unless it equals the base value in every
+  /// lane; returns whether it was stored. Each line is written at most once
+  /// per frame.
+  bool diverge(GateId g, const PVal& v, const Val* base) {
+    if (v == pv_splat(base[g])) return false;
+    vals_[g] = v;
+    stamp_[g] = now_;
+    return true;
+  }
+
+ private:
+  std::vector<PVal> vals_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t now_ = 0;
+};
 
 /// Full frame sweep: `vals` must hold values for all PIs and DFF outputs
 /// (observed values, stem faults folded in); every combinational gate is

@@ -110,9 +110,12 @@ std::vector<std::size_t> count_nsv(const SeqTrace& faulty) {
 }
 
 bool passes_condition_c(const SeqTrace& fault_free, const SeqTrace& faulty) {
-  const auto nout = count_nout(fault_free, faulty);
-  const auto nsv = count_nsv(faulty);
-  for (std::size_t u = 0; u < fault_free.length(); ++u) {
+  return passes_condition_c(count_nout(fault_free, faulty), count_nsv(faulty));
+}
+
+bool passes_condition_c(std::span<const std::size_t> nout,
+                        std::span<const std::size_t> nsv) {
+  for (std::size_t u = 0; u < nout.size(); ++u) {
     if (nsv[u] > 0 && nout[u] > 0) return true;
   }
   return false;

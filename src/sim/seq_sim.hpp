@@ -81,4 +81,8 @@ std::vector<std::size_t> count_nsv(const SeqTrace& faulty);
 /// N_sv(u) > 0 and N_out(u) > 0.
 bool passes_condition_c(const SeqTrace& fault_free, const SeqTrace& faulty);
 
+/// Condition (C) from precomputed count_nout / count_nsv vectors.
+bool passes_condition_c(std::span<const std::size_t> nout,
+                        std::span<const std::size_t> nsv);
+
 }  // namespace motsim

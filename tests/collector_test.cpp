@@ -1,8 +1,13 @@
 // Tests for the backward-implication collector (Procedure 1, steps 1-2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/registry.hpp"
+#include "faultsim/conventional.hpp"
 #include "mot/collector.hpp"
 #include "netlist/builder.hpp"
 #include "testgen/random_gen.hpp"
@@ -47,8 +52,8 @@ TEST(Collector, SynthesizesTime0Pairs) {
     EXPECT_FALSE(p.conf[0] || p.conf[1] || p.detect[0] || p.detect[1]);
     ASSERT_EQ(p.n_extra(0), 1u);
     ASSERT_EQ(p.n_extra(1), 1u);
-    EXPECT_EQ(p.extra[0][0], (std::pair<std::uint32_t, Val>{p.i, Val::Zero}));
-    EXPECT_EQ(p.extra[1][0], (std::pair<std::uint32_t, Val>{p.i, Val::One}));
+    EXPECT_EQ(r.extra(p, 0)[0], (std::pair<std::uint32_t, Val>{p.i, Val::Zero}));
+    EXPECT_EQ(r.extra(p, 1)[0], (std::pair<std::uint32_t, Val>{p.i, Val::One}));
   }
   EXPECT_EQ(u0, 3u);
 }
@@ -62,7 +67,7 @@ TEST(Collector, ExtraAlwaysContainsTheSeedPair) {
       if (p.side_closed(a)) continue;
       const Val v = a == 0 ? Val::Zero : Val::One;
       bool found = false;
-      for (const auto& [j, beta] : p.extra[a]) {
+      for (const auto& [j, beta] : r.extra(p, a)) {
         found = found || (j == p.i && beta == v);
       }
       EXPECT_TRUE(found) << "u=" << p.u << " i=" << p.i << " a=" << a;
@@ -76,7 +81,7 @@ TEST(Collector, ExtraVariablesWereUnspecifiedInConventionalTrace) {
   const CollectionResult r = collector.collect(s.good, s.faulty, *s.fv);
   for (const PairInfo& p : r.pairs) {
     for (int a : {0, 1}) {
-      for (const auto& [j, beta] : p.extra[a]) {
+      for (const auto& [j, beta] : r.extra(p, a)) {
         (void)beta;
         EXPECT_FALSE(is_specified(s.faulty.states[p.u][j]));
       }
@@ -204,7 +209,7 @@ TEST(Collector, MultiFrameBackwardDepthIsSoundOnS27) {
   const CollectionResult r = collector.collect(s.good, s.faulty, *s.fv);
   for (const PairInfo& p : r.pairs) {
     for (int a : {0, 1}) {
-      for (const auto& [j, beta] : p.extra[a]) {
+      for (const auto& [j, beta] : r.extra(p, a)) {
         (void)beta;
         EXPECT_LT(j, s.c.num_dffs());
         EXPECT_FALSE(is_specified(s.faulty.states[p.u][j]));
@@ -216,6 +221,132 @@ TEST(Collector, MultiFrameBackwardDepthIsSoundOnS27) {
   for (std::size_t u = 0; u < fresh.lines.size(); ++u) {
     EXPECT_EQ(fresh.lines[u], s.faulty.lines[u]);
   }
+}
+
+// ------------------------------- serial vs packed collection at scale ----
+
+/// Pair by pair: u, i, conf, detect and each side's extras in order.
+void expect_same_collection(const CollectionResult& want,
+                            const CollectionResult& got) {
+  EXPECT_EQ(want.detected_by_check, got.detected_by_check);
+  EXPECT_EQ(want.capped, got.capped);
+  ASSERT_EQ(want.pairs.size(), got.pairs.size());
+  for (std::size_t k = 0; k < want.pairs.size(); ++k) {
+    const PairInfo& p = want.pairs[k];
+    const PairInfo& q = got.pairs[k];
+    ASSERT_EQ(p.u, q.u) << "pair " << k;
+    ASSERT_EQ(p.i, q.i) << "pair " << k;
+    for (int a = 0; a < 2; ++a) {
+      EXPECT_EQ(p.conf[a], q.conf[a]) << "pair " << k << " side " << a;
+      EXPECT_EQ(p.detect[a], q.detect[a]) << "pair " << k << " side " << a;
+      EXPECT_TRUE(std::ranges::equal(want.extra(p, a), got.extra(q, a)))
+          << "pair " << k << " side " << a;
+    }
+  }
+}
+
+struct Coverage {
+  std::size_t pairs = 0;
+  std::size_t froze_beside_ok = 0;  ///< a lane conflicted while its twin ran on
+  std::size_t pi_driven_d = 0;      ///< pairs probed on a primary input line
+  std::size_t pi_driven_detect = 0; ///< ... with a detecting side
+  std::size_t d_pin_faults = 0;     ///< faults on a flip-flop's D pin
+};
+
+/// Collects `f` with the Legacy serial collector and with the SoA packed
+/// collector and compares the two results, also after copying and moving
+/// the packed one (extras live in the result's own arena).
+void compare_collectors(const Circuit& c, const TestSequence& test,
+                        const SeqTrace& legacy_good, const SeqTrace& soa_good,
+                        const Fault& f, Coverage& cov) {
+  MotOptions legacy_opt;
+  legacy_opt.kernel = KernelKind::Legacy;
+  BackwardCollector legacy(c, legacy_opt);
+  BackwardCollector soa(c, MotOptions{});
+  SeqTrace legacy_faulty = ConventionalFaultSimulator(c, KernelKind::Legacy)
+                               .simulate_fault(test, f, /*keep_lines=*/true);
+  SeqTrace soa_faulty = ConventionalFaultSimulator(c, KernelKind::SoA)
+                            .simulate_fault(test, f, true, &soa_good);
+  const FaultView fv(c, f);
+  const CollectionResult want = legacy.collect(legacy_good, legacy_faulty, fv);
+  CollectionResult got = soa.collect(soa_good, soa_faulty, fv);
+  expect_same_collection(want, got);
+  const CollectionResult copied = got;
+  const CollectionResult moved = std::move(got);
+  expect_same_collection(want, copied);
+  expect_same_collection(want, moved);
+
+  cov.pairs += want.pairs.size();
+  if (f.pin == 0 && c.gate(f.gate).type == GateType::Dff) ++cov.d_pin_faults;
+  for (const PairInfo& p : want.pairs) {
+    if (p.u > 0 && c.gate(c.dff_input(p.i)).type == GateType::Input) {
+      ++cov.pi_driven_d;
+      if (p.detect[0] || p.detect[1]) ++cov.pi_driven_detect;
+    }
+    for (int a = 0; a < 2; ++a) {
+      if (p.conf[a] && !p.side_closed(1 - a)) ++cov.froze_beside_ok;
+    }
+  }
+}
+
+TEST(CollectorScale, S5378SliceSerialAndPackedAgreePairByPair) {
+  // Every 64th condition-(C) candidate of the s5378 stand-in under 40
+  // random vectors, plus D-pin stuck faults on two flip-flops.
+  const Circuit c = circuits::build_benchmark("s5378");
+  Rng rng(5378);
+  const TestSequence test = random_sequence(c.num_inputs(), 40, rng);
+  const SeqTrace legacy_good =
+      SequentialSimulator(c, KernelKind::Legacy).run_fault_free(test, true);
+  const SeqTrace soa_good =
+      SequentialSimulator(c, KernelKind::SoA).run_fault_free(test, true);
+  const std::vector<Fault> all = collapsed_fault_list(c);
+  const std::vector<ConvOutcome> conv =
+      ConventionalFaultSimulator(c).run(test, soa_good, all);
+  std::vector<Fault> slice;
+  std::size_t candidates = 0;
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    if (conv[k].passes_c && candidates++ % 64 == 0) slice.push_back(all[k]);
+  }
+  ASSERT_GE(slice.size(), 10u);
+  for (const std::size_t j : {std::size_t{0}, c.num_dffs() / 2}) {
+    slice.push_back(Fault{c.dffs()[j], 0, j == 0 ? Val::Zero : Val::One});
+  }
+
+  Coverage cov;
+  for (const Fault& f : slice) {
+    SCOPED_TRACE(fault_name(c, f));
+    compare_collectors(c, test, legacy_good, soa_good, f, cov);
+  }
+  EXPECT_GT(cov.pairs, 1000u);
+  EXPECT_GT(cov.froze_beside_ok, 0u);
+  EXPECT_EQ(cov.d_pin_faults, 2u);
+}
+
+TEST(CollectorScale, PrimaryInputDrivenDPinAgrees) {
+  // q's D pin is the primary input `a`; an X on `a` leaves q unknown, so
+  // its probes seed an input line directly, and only the input's readers
+  // carry the seed on. With `c` stuck-at-1 and c = 0, z = AND(a, c) is 0
+  // fault-free but `a` in the faulty machine: the probe a = 1 detects.
+  CircuitBuilder b("pi_d");
+  const GateId a = b.add_input("a");
+  const GateId in_c = b.add_input("c");
+  const GateId q = b.declare("q");
+  b.define(q, GateType::Dff, {a});
+  b.mark_output(b.add_gate(GateType::And, "z", {a, in_c}));
+  b.mark_output(b.add_gate(GateType::Not, "zq", {q}));
+  const Circuit c = b.build_or_throw();
+  const TestSequence test = seq({"x0", "00", "x0", "10", "x1", "00"});
+  const SeqTrace legacy_good =
+      SequentialSimulator(c, KernelKind::Legacy).run_fault_free(test, true);
+  const SeqTrace soa_good =
+      SequentialSimulator(c, KernelKind::SoA).run_fault_free(test, true);
+  Coverage cov;
+  for (const Fault& f : enumerate_faults(c)) {
+    SCOPED_TRACE(fault_name(c, f));
+    compare_collectors(c, test, legacy_good, soa_good, f, cov);
+  }
+  EXPECT_GT(cov.pi_driven_d, 0u);
+  EXPECT_GT(cov.pi_driven_detect, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 //  (e) proposed ⊇ baseline ⊇ conventional on every workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
 #include "mot/baseline.hpp"
@@ -336,6 +338,62 @@ TEST(Baseline, NeverUsesImplicationInformation) {
   for (const Fault& f : collapsed_fault_list(c)) {
     EXPECT_EQ(plain.simulate_fault(t, good, f).detected,
               baseline.simulate_fault(t, good, f).detected);
+  }
+}
+
+// ------------------------------------------------ candidate ranking ----
+
+/// The ranking as a four-way comparator under std::stable_sort — the
+/// reference the keyed ranking must reproduce exactly.
+std::vector<const PairInfo*> rank_by_comparator(
+    const std::vector<PairInfo>& pairs, const std::vector<std::size_t>& nout,
+    const std::vector<std::size_t>& nsv, bool full) {
+  std::vector<const PairInfo*> order;
+  for (const PairInfo& p : pairs) {
+    if (!p.both_open()) continue;
+    if (p.u >= nout.size() || nout[p.u] == 0 || nsv[p.u] == 0) continue;
+    order.push_back(&p);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const PairInfo* a, const PairInfo* b) {
+                     if (nout[a->u] != nout[b->u]) return nout[a->u] > nout[b->u];
+                     if (nsv[a->u] != nsv[b->u]) return nsv[a->u] < nsv[b->u];
+                     if (!full) return false;
+                     const std::size_t amin = std::min(a->n_extra(0), a->n_extra(1));
+                     const std::size_t bmin = std::min(b->n_extra(0), b->n_extra(1));
+                     if (amin != bmin) return amin > bmin;
+                     const std::size_t amax = std::max(a->n_extra(0), a->n_extra(1));
+                     const std::size_t bmax = std::max(b->n_extra(0), b->n_extra(1));
+                     return amax > bmax;
+                   });
+  return order;
+}
+
+TEST(Ranking, KeyedOrderEqualsComparatorOrder) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Small value ranges, so that every criterion ties often.
+    const std::size_t L = 1 + rng.next_below(12);
+    std::vector<std::size_t> nout(L), nsv(L + 1);
+    for (auto& v : nout) v = rng.next_below(4);
+    for (auto& v : nsv) v = rng.next_below(4);
+    std::vector<PairInfo> pairs(rng.next_below(80));
+    for (PairInfo& p : pairs) {
+      p.u = static_cast<std::uint32_t>(rng.next_below(L + 1));
+      p.i = static_cast<std::uint32_t>(rng.next_below(8));
+      for (int a = 0; a < 2; ++a) {
+        p.conf[a] = rng.next_below(8) == 0;
+        p.detect[a] = rng.next_below(8) == 0;
+        p.extra_len[a] = static_cast<std::uint32_t>(rng.next_below(trial % 2 ? 6 : 300));
+      }
+    }
+    for (const SelectionPolicy policy :
+         {SelectionPolicy::Full, SelectionPolicy::TimeOnly}) {
+      EXPECT_EQ(rank_expansion_candidates(pairs, nout, nsv, policy),
+                rank_by_comparator(pairs, nout, nsv,
+                                   policy == SelectionPolicy::Full));
+    }
   }
 }
 
