@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace motsim {
 
@@ -88,9 +89,54 @@ ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
   return outcome;
 }
 
+struct BackwardCollector::Window {
+  std::vector<std::uint32_t> frames;  // lane l is bound to frame frames[l]
+  /// The lane where options.max_pairs binds (0 if none) probes only the
+  /// candidates i < cap_end.
+  std::uint64_t cap_lane = 0;
+  std::uint32_t cap_end = 0;
+  std::vector<std::uint64_t> unspec;  // per flip-flop j: lanes where y_j is X
+  std::vector<std::uint32_t> cand;    // flip-flops unspecified in some lane
+  /// Per (i, α): lanes that conflicted / detected.
+  std::vector<PackedFrameImplicator::Outcome> outcome;
+  /// Per (lane, i, α): extra() set as a run of `extras`.
+  struct Run {
+    std::uint32_t off = 0, len = 0;
+  };
+  std::vector<Run> runs;
+  std::vector<ExtraVal> extras;
+  std::vector<PVal> cand_vals;  // per-candidate D-pin values, Ok lanes
+};
+
+namespace {
+
+/// collect()'s preconditions, checked in every build: the probes read
+/// faulty.lines[u - 1], faulty.states[u] and good.outputs[u - 1] for every
+/// time unit u of the test.
+void check_traces(const SeqTrace& good, const SeqTrace& faulty,
+                  std::size_t num_gates) {
+  const std::size_t L = good.length();
+  if (faulty.length() != L || faulty.states.size() != L + 1) {
+    throw std::invalid_argument(
+        "BackwardCollector::collect: fault-free and faulty traces differ in "
+        "length");
+  }
+  if (faulty.lines.size() != L ||
+      std::ranges::any_of(faulty.lines, [&](const FrameVals& f) {
+        return f.size() != num_gates;
+      })) {
+    throw std::invalid_argument(
+        "BackwardCollector::collect: the faulty trace carries no line values "
+        "(simulate it with keep_lines)");
+  }
+}
+
+}  // namespace
+
 CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faulty,
                                             const FaultView& fv,
                                             WorkBudget* budget) {
+  check_traces(good, faulty, circuit_->num_gates());
   return collect(good, faulty, fv, count_nout(good, faulty), budget);
 }
 
@@ -99,9 +145,12 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
                                             std::span<const std::size_t> nout,
                                             WorkBudget* budget) {
   const Circuit& c = *circuit_;
-  assert(!faulty.lines.empty() && "collector needs a trace with line values");
+  check_traces(good, faulty, c.num_gates());
   const std::size_t L = good.length();
-  assert(nout.size() == L);
+  if (nout.size() != L) {
+    throw std::invalid_argument(
+        "BackwardCollector::collect: nout does not match the trace length");
+  }
 
   CollectionResult result;
 
@@ -116,14 +165,43 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
     result.add_plain_pair(0, static_cast<std::uint32_t>(i));
   }
 
-  for (std::uint32_t u = 1; u <= L; ++u) {
-    if (nout[u - 1] == 0) continue;  // nothing left to specify from here on
-    if (packed_.has_value()) {
-      if (!collect_packed_frame(good, faulty, fv, u, budget, result)) {
+  if (packed_.has_value()) {
+    // Windows of up to 64 time units, skipping those with N_out = 0 or no
+    // candidate. A window ends at the time unit where max_pairs binds; that
+    // lane probes only the candidates before the cap.
+    Window w;
+    std::uint32_t u = 1;
+    while (u <= L) {
+      w.frames.clear();
+      w.unspec.assign(c.num_dffs(), 0);
+      w.cap_lane = 0;
+      std::size_t planned = result.pairs.size();
+      for (; u <= L && w.frames.size() < 64 && w.cap_lane == 0; ++u) {
+        if (nout[u - 1] == 0) continue;
+        const std::uint64_t bit = 1ull << w.frames.size();
+        bool any = false;
+        for (std::uint32_t i = 0; i < c.num_dffs(); ++i) {
+          if (is_specified(faulty.states[u][i])) continue;
+          w.unspec[i] |= bit;
+          any = true;
+          if (w.cap_lane == 0 && planned++ == options_.max_pairs) {
+            w.cap_lane = bit;
+            w.cap_end = i;
+          }
+        }
+        if (any) w.frames.push_back(u - 1);
+      }
+      if (w.frames.empty()) break;
+      if (!collect_packed_window(good, faulty, fv, w, budget, result)) {
         return result;
       }
-      continue;
+      assert(w.cap_lane == 0);
     }
+    return result;
+  }
+
+  for (std::uint32_t u = 1; u <= L; ++u) {
+    if (nout[u - 1] == 0) continue;  // nothing left to specify from here on
     for (std::uint32_t i = 0; i < c.num_dffs(); ++i) {
       if (is_specified(faulty.states[u][i])) continue;
       if (result.pairs.size() >= options_.max_pairs) {
@@ -161,15 +239,15 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
   return result;
 }
 
-bool BackwardCollector::collect_packed_frame(const SeqTrace& good,
-                                             const SeqTrace& faulty,
-                                             const FaultView& fv,
-                                             std::uint32_t u, WorkBudget* budget,
-                                             CollectionResult& result) {
+bool BackwardCollector::collect_packed_window(
+    const SeqTrace& good, const SeqTrace& faulty, const FaultView& fv,
+    Window& w, WorkBudget* budget, CollectionResult& result) {
   const Circuit& c = *circuit_;
-  cand_.clear();
-  for (std::uint32_t i = 0; i < c.num_dffs(); ++i) {
-    if (!is_specified(faulty.states[u][i])) cand_.push_back(i);
+  const std::size_t nd = c.num_dffs();
+  const std::size_t nl = w.frames.size();
+  w.cand.clear();
+  for (std::uint32_t j = 0; j < nd; ++j) {
+    if (w.unspec[j] != 0) w.cand.push_back(j);
   }
 
   // At most one flip-flop's D pin can be decoupled by the fault; resolve it
@@ -181,83 +259,89 @@ bool BackwardCollector::collect_packed_frame(const SeqTrace& good,
     }
   }
 
-  PackedFrameImplicator::LaneSeed seeds[64];
-  ImplOutcome outcomes[64];
-  std::uint32_t lane_off[64], lane_len[64];
-  std::vector<ExtraVal>& extras = result.extras;
-  cand_vals_.resize(cand_.size());
-  for (std::size_t chunk = 0; chunk < cand_.size(); chunk += 32) {
-    const std::size_t nc = std::min<std::size_t>(32, cand_.size() - chunk);
-    const std::size_t nl = 2 * nc;
-    // The packed probe runs before the per-pair cap/budget checks below: a
-    // stop mid-chunk wastes the remaining probed lanes, but the observable
-    // results (pair list, classifications, budget charges, early returns)
-    // replay the serial pair order exactly.
-    for (std::size_t p = 0; p < nc; ++p) {
-      const GateId d = c.dff_input(cand_[chunk + p]);
-      seeds[2 * p] = {d, Val::Zero};
-      seeds[2 * p + 1] = {d, Val::One};
-    }
-    packed_->run(faulty.lines[u - 1], fv, good.outputs[u - 1],
-                 std::span<const PackedFrameImplicator::LaneSeed>(seeds, nl),
-                 options_.impl_mode, outcomes);
+  // Probe: one packed run per (i, α), lane l seeding Y_i = α at frame
+  // w.frames[l] wherever y_i is a candidate. The probes run before the
+  // per-pair cap/budget checks below: a budget or §3.2 stop wastes the rest
+  // of the window, but the observable results (pair list, classifications,
+  // budget charges, early returns) replay the serial pair order exactly.
+  packed_->bind(good, faulty, w.frames);
+  w.outcome.resize(2 * nd);
+  w.runs.resize(2 * nd * nl);
+  w.extras.clear();
+  w.cand_vals.resize(w.cand.size());
+  for (const std::uint32_t i : w.cand) {
+    const std::uint64_t seeded =
+        w.unspec[i] & (i < w.cap_end ? ~0ull : ~w.cap_lane);
+    if (seeded == 0) continue;
+    for (int a = 0; a < 2; ++a) {
+      const PackedFrameImplicator::Outcome out = packed_->run(
+          seeded, c.dff_input(i), a == 0 ? Val::Zero : Val::One, fv,
+          options_.impl_mode);
+      w.outcome[2 * i + a] = out;
 
-    // extra(u,i,α) exactly as the serial probe reads it off the implied
-    // frame: next-state (D-pin) values for flip-flops that conventional
-    // simulation left unspecified at u — cand_ is precisely that list, in
-    // ascending order. Each candidate's D pin is read once for all Ok
-    // lanes; the sets are then laid out lane after lane (pair order) in the
-    // arena, each run in candidate order.
-    std::uint64_t ok = 0;
-    for (std::size_t l = 0; l < nl; ++l) {
-      if (outcomes[l] == ImplOutcome::Ok) ok |= 1ull << l;
-      lane_len[l] = 0;
-    }
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const std::uint32_t j = cand_[k];
-      const PVal y = j == fixed_j ? pv_splat(fv.fault()->stuck)
-                                  : packed_->packed_value(c.dff_input(j));
-      const std::uint64_t spec = (y.ones | y.zeros) & ok;
-      cand_vals_[k] = {y.ones & spec, y.zeros & spec};
-      for (std::uint64_t m = spec; m; m &= m - 1) ++lane_len[std::countr_zero(m)];
-    }
-    std::uint32_t end = static_cast<std::uint32_t>(extras.size());
-    for (std::size_t l = 0; l < nl; ++l) {
-      lane_off[l] = end;
-      end += lane_len[l];
-    }
-    extras.resize(end);
-    std::uint32_t fill[64];
-    std::copy(lane_off, lane_off + nl, fill);
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const PVal y = cand_vals_[k];
-      for (std::uint64_t m = y.ones | y.zeros; m; m &= m - 1) {
+      // extra(u,i,α) exactly as the serial probe reads it off the implied
+      // frame: next-state (D-pin) values for flip-flops that conventional
+      // simulation left unspecified at u (w.unspec, per lane). Each
+      // candidate's D pin is read once for all Ok lanes; the sets are then
+      // laid out lane after lane in w.extras, each run in ascending order.
+      const std::uint64_t ok = seeded & ~(out.conflict | out.detected);
+      std::uint32_t len[64] = {};
+      if (ok != 0) {
+        for (std::size_t k = 0; k < w.cand.size(); ++k) {
+          const std::uint32_t j = w.cand[k];
+          const PVal y = j == fixed_j ? pv_splat(fv.fault()->stuck)
+                                      : packed_->packed_value(c.dff_input(j));
+          const std::uint64_t spec = (y.ones | y.zeros) & ok & w.unspec[j];
+          w.cand_vals[k] = {y.ones & spec, y.zeros & spec};
+          for (std::uint64_t m = spec; m; m &= m - 1) {
+            ++len[std::countr_zero(m)];
+          }
+        }
+      }
+      std::uint32_t fill[64];
+      auto end = static_cast<std::uint32_t>(w.extras.size());
+      for (std::uint64_t m = seeded; m; m &= m - 1) {
         const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        extras[fill[l]++] = {cand_[k], (y.ones >> l) & 1 ? Val::One : Val::Zero};
+        w.runs[(l * nd + i) * 2 + a] = {end, len[l]};
+        fill[l] = end;
+        end += len[l];
+      }
+      if (ok == 0) continue;
+      w.extras.resize(end);
+      for (std::size_t k = 0; k < w.cand.size(); ++k) {
+        const PVal y = w.cand_vals[k];
+        for (std::uint64_t m = y.ones | y.zeros; m; m &= m - 1) {
+          const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+          w.extras[fill[l]++] = {w.cand[k],
+                                 (y.ones >> l) & 1 ? Val::One : Val::Zero};
+        }
       }
     }
+  }
 
-    for (std::size_t p = 0; p < nc; ++p) {
-      const std::uint32_t i = cand_[chunk + p];
-      // A stop drops the sets of this pair and the rest of the chunk.
+  // Replay in the serial (u, i) order.
+  std::vector<ExtraVal>& extras = result.extras;
+  for (std::size_t l = 0; l < nl; ++l) {
+    const std::uint64_t bit = 1ull << l;
+    for (const std::uint32_t i : w.cand) {
+      if ((w.unspec[i] & bit) == 0) continue;
       if (result.pairs.size() >= options_.max_pairs) {
         result.capped = true;
-        extras.resize(lane_off[2 * p]);
         return false;
       }
-      if (budget != nullptr && budget->poll(2)) {
-        extras.resize(lane_off[2 * p]);
-        return false;
-      }
+      if (budget != nullptr && budget->poll(2)) return false;
       PairInfo pair;
-      pair.u = u;
+      pair.u = w.frames[l] + 1;
       pair.i = i;
       for (int a = 0; a < 2; ++a) {
-        const std::size_t lane = 2 * p + static_cast<std::size_t>(a);
-        pair.conf[a] = outcomes[lane] == ImplOutcome::Conflict;
-        pair.detect[a] = outcomes[lane] == ImplOutcome::Detected;
-        pair.extra_off[a] = lane_off[lane];
-        pair.extra_len[a] = lane_len[lane];
+        const PackedFrameImplicator::Outcome& out = w.outcome[2 * i + a];
+        const Window::Run run = w.runs[(l * nd + i) * 2 + a];
+        pair.conf[a] = (out.conflict & bit) != 0;
+        pair.detect[a] = (out.detected & bit) != 0;
+        pair.extra_off[a] = static_cast<std::uint32_t>(extras.size());
+        pair.extra_len[a] = run.len;
+        extras.insert(extras.end(), w.extras.begin() + run.off,
+                      w.extras.begin() + run.off + run.len);
       }
       // Sound implications cannot refute both values: some concrete run of
       // the faulty machine realizes each reachable trace.
@@ -269,7 +353,6 @@ bool BackwardCollector::collect_packed_frame(const SeqTrace& good,
       if ((pair.detect[0] && pair.side_closed(1)) ||
           (pair.detect[1] && pair.side_closed(0))) {
         result.detected_by_check = true;
-        extras.resize(pair.extra_off[1] + pair.extra_len[1]);
         return false;
       }
     }

@@ -82,7 +82,9 @@ class BackwardCollector {
   BackwardCollector(const Circuit& c, const MotOptions& opt);
 
   /// `faulty` must carry line values (keep_lines); they are probed in place
-  /// and restored before returning. Requires good/faulty over the same test.
+  /// and restored before returning. Requires good/faulty over the same test;
+  /// a trace without line values or of mismatched length throws
+  /// std::invalid_argument.
   ///
   /// `budget` (optional) is polled once per backward probe; when it runs out
   /// the enumeration stops and the partial pair list is returned — the
@@ -103,22 +105,27 @@ class BackwardCollector {
                     std::uint32_t u, std::uint32_t i, int alpha, PairInfo& pair,
                     std::vector<ExtraVal>& extras);
 
-  /// Packed-probe body of collect() for one time unit u: probes the
-  /// candidate variables 64 lanes (32 pairs) at a time, then replays the
-  /// serial pair order for the cap check, budget polls, classification, and
-  /// the §3.2 early return. Returns false when collect() must return.
-  bool collect_packed_frame(const SeqTrace& good, const SeqTrace& faulty,
-                            const FaultView& fv, std::uint32_t u,
-                            WorkBudget* budget, CollectionResult& result);
+  /// Per-window scratch of the packed path (collector.cpp), local to one
+  /// collect() call so that its memory goes with the call.
+  struct Window;
+
+  /// Packed-probe body of collect() for one window of up to 64 time units
+  /// (lane l probes u = w.frames[l] + 1): probes every candidate (u, i, α)
+  /// of the window, one packed run per (i, α) across all lanes, then
+  /// replays the serial pair order for the cap check, budget polls,
+  /// classification, and the §3.2 early return. Returns false when
+  /// collect() must return.
+  bool collect_packed_window(const SeqTrace& good, const SeqTrace& faulty,
+                             const FaultView& fv, Window& w,
+                             WorkBudget* budget, CollectionResult& result);
 
   const Circuit* circuit_;
   MotOptions options_;
   std::vector<FrameImplicator> implicators_;  // one per backward frame depth
-  /// Engaged for the SoA kernel at backward_depth 1 (the packed engine is
-  /// single-frame); deeper probes and the Legacy kernel use the serial path.
+  /// Engaged for the SoA kernel at backward_depth 1 (the packed engine
+  /// probes one frame per lane); deeper probes and the Legacy kernel use the
+  /// serial path.
   std::optional<PackedFrameImplicator> packed_;
-  std::vector<std::uint32_t> cand_;  // per-frame candidate scratch
-  std::vector<PVal> cand_vals_;      // per-candidate D-pin values, Ok lanes
 };
 
 }  // namespace motsim

@@ -1,7 +1,6 @@
 #include "mot/packed_implicator.hpp"
 
 #include <cassert>
-#include <cstring>
 
 #include "sim/frame_kernel.hpp"
 
@@ -21,9 +20,9 @@ void PackedFrameImplicator::refine_line(GateId line, std::uint64_t ones,
   const std::uint64_t change =
       ((ones | zeros) & ~(cur.ones | cur.zeros)) & live_;
   if (!change) return;
+  trail_.push_back({line, cur});
   cur.ones |= ones & change;
   cur.zeros |= zeros & change;
-  changed_.push_back(line);
 }
 
 void PackedFrameImplicator::forward_at(const FaultView& fv, GateId g) {
@@ -290,65 +289,56 @@ void PackedFrameImplicator::backward_rules(const FaultView& fv, GateId g) {
   }
 }
 
-void PackedFrameImplicator::run(const FrameVals& base, const FaultView& fv,
-                                std::span<const Val> good_out,
-                                std::span<const LaneSeed> seeds, ImplMode mode,
-                                ImplOutcome* outcomes) {
-  const std::size_t n = seeds.size();
-  assert(n >= 1 && n <= 64);
-  assert(base.size() == circuit_->num_gates());
-
-  if (base_copy_.size() != base.size()) {
-    pframe_.resize(base.size());
-    for (GateId g = 0; g < base.size(); ++g) pframe_[g] = pv_splat(base[g]);
-    base_copy_.assign(base.begin(), base.end());
-  } else {
-    // Every write during a run lands in changed_ (seeds included), so after
-    // restoring those lines pframe_ equals the splat of base_copy_
-    // everywhere; a scalar diff then repairs just the lines where the new
-    // base really differs. Consecutive probes against one frame — the
-    // collector's common case — touch ~1% of the lines.
-    for (const GateId line : changed_) pframe_[line] = pv_splat(base[line]);
-    const auto* pb = reinterpret_cast<const std::uint8_t*>(base.data());
-    auto* pc = reinterpret_cast<std::uint8_t*>(base_copy_.data());
-    const std::size_t size = base.size();
-    std::size_t g = 0;
-    // Word-at-a-time scan: frames are one byte per line, and consecutive
-    // probes usually bind the same frame, so nearly every word matches.
-    for (; g + 8 <= size; g += 8) {
-      std::uint64_t wb, wc;
-      std::memcpy(&wb, pb + g, 8);
-      std::memcpy(&wc, pc + g, 8);
-      if (wb == wc) continue;
-      for (std::size_t k = g; k < g + 8; ++k) {
-        if (pb[k] != pc[k]) {
-          pframe_[k] = pv_splat(base[k]);
-          base_copy_[k] = base[k];
-        }
-      }
+void PackedFrameImplicator::bind(const SeqTrace& good, const SeqTrace& faulty,
+                                 std::span<const std::uint32_t> frames) {
+  assert(frames.size() <= 64);
+  const std::size_t ng = circuit_->num_gates();
+  const std::size_t no = circuit_->outputs().size();
+  trail_.clear();
+  pframe_.assign(ng, PVal{});
+  good_one_.assign(no, 0);
+  good_zero_.assign(no, 0);
+  for (std::size_t l = 0; l < frames.size(); ++l) {
+    const Val* line = faulty.lines[frames[l]].data();
+    assert(faulty.lines[frames[l]].size() == ng);
+    for (std::size_t g = 0; g < ng; ++g) {
+      pframe_[g].ones |= std::uint64_t{line[g] == Val::One} << l;
+      pframe_[g].zeros |= std::uint64_t{line[g] == Val::Zero} << l;
     }
-    for (; g < size; ++g) {
-      if (pb[g] != pc[g]) {
-        pframe_[g] = pv_splat(base[g]);
-        base_copy_[g] = base[g];
-      }
+    const std::vector<Val>& out = good.outputs[frames[l]];
+    assert(out.size() == no);
+    for (std::size_t o = 0; o < no; ++o) {
+      good_one_[o] |= std::uint64_t{out[o] == Val::One} << l;
+      good_zero_[o] |= std::uint64_t{out[o] == Val::Zero} << l;
     }
   }
-  live_ = n == 64 ? ~0ull : ((1ull << n) - 1);
-  conflict_ = 0;
-  changed_.clear();
+}
 
-  // Seed each lane; a seed contradicting the frame conflicts before any
-  // propagation, exactly like the serial engine.
-  for (std::size_t l = 0; l < n; ++l) {
-    const std::uint64_t bit = 1ull << l;
-    PVal& cur = pframe_[seeds[l].line];
-    const Val old = pv_get(cur, static_cast<unsigned>(l));
-    if (old == Val::X) {
-      pv_set(cur, static_cast<unsigned>(l), seeds[l].v);
-      changed_.push_back(seeds[l].line);
-    } else if (old != seeds[l].v) {
-      freeze(bit);
+PackedFrameImplicator::Outcome PackedFrameImplicator::run(std::uint64_t lanes,
+                                                          GateId line, Val v,
+                                                          const FaultView& fv,
+                                                          ImplMode mode) {
+  assert(lanes != 0 && is_specified(v));
+  // Every write of the previous run is on the trail (seeds included), so
+  // unwinding it returns pframe_ to the bound frames.
+  for (std::size_t k = trail_.size(); k-- > 0;) {
+    pframe_[trail_[k].line] = trail_[k].old;
+  }
+  trail_.clear();
+  live_ = lanes;
+  conflict_ = 0;
+
+  // Seed every lane; a lane whose frame already contradicts the seed
+  // conflicts before any propagation, exactly like the serial engine.
+  {
+    PVal& cur = pframe_[line];
+    const std::uint64_t spec = cur.ones | cur.zeros;
+    std::uint64_t& plane = v == Val::One ? cur.ones : cur.zeros;
+    freeze(lanes & spec & ~plane);
+    const std::uint64_t fresh = lanes & ~spec;
+    if (fresh) {
+      trail_.push_back({line, cur});
+      plane |= fresh;
     }
   }
 
@@ -380,21 +370,19 @@ void PackedFrameImplicator::run(const FrameVals& base, const FaultView& fv,
       const std::uint32_t nro = lev_->fanout_count(line);
       for (std::uint32_t r = 0; r < nro; ++r) enqueue(ro[r]);
     };
-    // Wake every seed line's neighbourhood (a superset of the serial per-lane
-    // seeding: applications where nothing changed are monotone no-ops).
-    for (std::size_t l = 0; l < n; ++l) {
-      enqueue(seeds[l].line);
-      wake_readers(seeds[l].line);
-    }
+    // Wake the seed line's neighbourhood, as the serial engine does for
+    // each lane's seed.
+    enqueue(line);
+    wake_readers(line);
     while (queued > 0 && live_) {
       const GateId g = queue_[head];
       if (++head == cap) head = 0;
       --queued;
       in_queue_[g] = 0;
-      const std::size_t before = changed_.size();
+      const std::size_t before = trail_.size();
       apply_at(fv, g);
-      for (std::size_t c = before; c < changed_.size(); ++c) {
-        const GateId line = changed_[c];
+      for (std::size_t c = before; c < trail_.size(); ++c) {
+        const GateId line = trail_[c].line;
         // apply_at already ran g's backward rules on its fresh output, so a
         // change of g's own output does not re-wake g; a changed pin does,
         // through that pin's readers.
@@ -408,26 +396,15 @@ void PackedFrameImplicator::run(const FrameVals& base, const FaultView& fv,
     }
   }
 
-  // Detection check for the lanes that propagated to quiescence.
+  // Detection check for the lanes that propagated to quiescence, each
+  // against its own frame's fault-free outputs (X there never detects).
+  const auto outputs = circuit_->outputs();
   std::uint64_t det = 0;
-  if (!good_out.empty()) {
-    const auto outputs = circuit_->outputs();
-    assert(good_out.size() == outputs.size());
-    for (std::size_t o = 0; o < outputs.size(); ++o) {
-      const Val gv = good_out[o];
-      if (!is_specified(gv)) continue;
-      const PVal& pv = pframe_[outputs[o]];
-      det |= gv == Val::One ? pv.zeros : pv.ones;
-    }
-    det &= live_;
+  for (std::size_t o = 0; o < outputs.size(); ++o) {
+    const PVal& pv = pframe_[outputs[o]];
+    det |= (good_one_[o] & pv.zeros) | (good_zero_[o] & pv.ones);
   }
-
-  for (std::size_t l = 0; l < n; ++l) {
-    const std::uint64_t bit = 1ull << l;
-    outcomes[l] = (conflict_ & bit)  ? ImplOutcome::Conflict
-                  : (det & bit)      ? ImplOutcome::Detected
-                                     : ImplOutcome::Ok;
-  }
+  return {conflict_, det & live_};
 }
 
 }  // namespace motsim

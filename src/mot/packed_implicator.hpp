@@ -1,16 +1,19 @@
 // 64-lane packed frame implication engine.
 //
 // The backward-implication collector probes every candidate (time unit,
-// state variable, value) seed against the same conventional frame — two
-// probes per pair, thousands per fault — and each serial probe walks much
-// of the same cone. PackedFrameImplicator runs up to 64 independent
-// single-seed probes at once over a shared base frame using the PVal
-// (ones, zeros) encoding: one packed rule application at a gate performs the
-// serial forward/backward step for every live lane simultaneously.
+// state variable, value) seed of a fault — two probes per pair, thousands
+// per fault — and each serial probe walks much of the same cone.
+// PackedFrameImplicator runs one seed Y_i = α in up to 64 time frames of
+// the same fault at once, using the PVal (ones, zeros) encoding: lane l is
+// bound to its own conventional frame (bind()), and one packed rule
+// application at a gate performs the serial forward/backward step for every
+// live lane simultaneously. The same seed in neighbouring frames of one
+// fault walks nearly the same cone, so the lanes share most of their work;
+// 64 different seeds against one frame share very little.
 //
 // Per-lane results (outcome classification, the §3.1 extra() values, and the
 // detection check) are bit-identical to running FrameImplicator::run once
-// per seed:
+// per lane on that lane's frame:
 //
 //   * TwoPass mode applies exactly the serial gate order (one reverse-topo
 //     backward pass, one topo forward pass) to all lanes, so every lane sees
@@ -27,11 +30,12 @@
 //     readers), and inputs and flip-flop outputs are never queued (no rule
 //     applies at them), though a change on them wakes their readers. The
 //     queue is still empty only when every gate is at its fixpoint, so the
-//     result is unchanged; on the s5378 Table 2 workload FIFO order and the
-//     trims cut worklist pops by about 40%.
+//     result is unchanged.
+//   * The detection check compares each lane against its own frame's
+//     fault-free output row (per-output lane masks built by bind()).
 //
-// The base frame is never mutated (lanes are gathered into packed scratch),
-// so there is no undo trail and probes cannot interfere.
+// The bound frames are never mutated: lanes are gathered into a packed
+// frame once per bind, and each run unwinds the previous run's trail.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +46,7 @@
 #include "logic/pval.hpp"
 #include "mot/implicator.hpp"
 #include "netlist/levelized.hpp"
+#include "sim/seq_sim.hpp"
 
 namespace motsim {
 
@@ -49,18 +54,23 @@ class PackedFrameImplicator {
  public:
   explicit PackedFrameImplicator(const Circuit& c);
 
-  /// One probe: seed `line` = `v`, then propagate.
-  struct LaneSeed {
-    GateId line;
-    Val v;
+  /// Binds lane l to frame frames[l] of `faulty` (which must carry line
+  /// values), with frames[l] of `good` as its fault-free output row.
+  /// frames.size() <= 64; lanes past the end are never probed.
+  void bind(const SeqTrace& good, const SeqTrace& faulty,
+            std::span<const std::uint32_t> frames);
+
+  /// Lanes of one run that did not end Ok.
+  struct Outcome {
+    std::uint64_t conflict = 0;
+    std::uint64_t detected = 0;
   };
 
-  /// Runs seeds.size() (<= 64) independent probes against `base` and writes
-  /// one outcome per lane into `outcomes`. `good_out` is the fault-free
-  /// primary-output row of this frame (empty skips the detection check).
-  void run(const FrameVals& base, const FaultView& fv,
-           std::span<const Val> good_out, std::span<const LaneSeed> seeds,
-           ImplMode mode, ImplOutcome* outcomes);
+  /// Seeds `line` = `v` in every lane of `lanes` (a subset of the bound
+  /// lanes) and propagates. Each lane is an independent probe of its own
+  /// frame; the lanes of `lanes` outside both masks ended Ok.
+  Outcome run(std::uint64_t lanes, GateId line, Val v, const FaultView& fv,
+              ImplMode mode);
 
   /// Post-implication values of `line`, one per lane; meaningful for the
   /// Ok lanes.
@@ -85,7 +95,8 @@ class PackedFrameImplicator {
 
   /// Refines pframe_[line] with the forced per-lane values (`ones`/`zeros`
   /// masks, already restricted to live lanes): conflicting lanes freeze,
-  /// newly specified lanes are written and the line recorded in changed_.
+  /// newly specified lanes are written and the line's old value recorded on
+  /// trail_.
   void refine_line(GateId line, std::uint64_t ones, std::uint64_t zeros);
 
   void freeze(std::uint64_t lanes) {
@@ -95,16 +106,17 @@ class PackedFrameImplicator {
 
   const Circuit* circuit_;
   const LevelizedCircuit* lev_;
-  /// Values of the base frame pframe_ currently mirrors. Rebinding to the
-  /// next base resets only the lines the previous run touched plus the lines
-  /// whose base value actually differs (a scalar diff against this copy)
-  /// instead of re-splatting every line — sound regardless of frame object
-  /// lifetime or address reuse, because the comparison is by value.
-  std::vector<Val> base_copy_;
-  std::vector<PVal> pframe_;           // packed frame scratch
+  std::vector<PVal> pframe_;           // bound frames, lane l = frames[l]
+  std::vector<std::uint64_t> good_one_, good_zero_;  // per-PO fault-free lanes
   std::uint64_t live_ = 0;             // lanes still propagating
   std::uint64_t conflict_ = 0;         // lanes that hit a conflict
-  std::vector<GateId> changed_;        // lines changed in any lane, in order
+  /// Every line change of the last run, in order, with the line's value
+  /// before it; the next run unwinds it back to the bound frames.
+  struct Change {
+    GateId line;
+    PVal old;
+  };
+  std::vector<Change> trail_;
   std::vector<PVal> pins_;             // per-gate pin value scratch
   std::vector<std::uint64_t> pin_x_;   // per-pin X-lane masks
   // Fixpoint worklist state: a FIFO ring of num_gates slots.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "circuits/embedded.hpp"
@@ -9,6 +10,7 @@
 #include "circuits/registry.hpp"
 #include "faultsim/conventional.hpp"
 #include "mot/collector.hpp"
+#include "mot/proposed.hpp"
 #include "netlist/builder.hpp"
 #include "testgen/random_gen.hpp"
 
@@ -198,6 +200,37 @@ TEST(Collector, TraceLinesAreRestoredAfterCollection) {
   }
 }
 
+TEST(Collector, RejectsTracesItCannotProbe) {
+  // Checked in every build, not only under assert: a Release build would
+  // otherwise index the missing line values.
+  TestBed s = make_setup(circuits::make_s27(), seq({"1011", "0110", "1011"}));
+  for (const KernelKind kernel : {KernelKind::Legacy, KernelKind::SoA}) {
+    MotOptions opt;
+    opt.kernel = kernel;
+    BackwardCollector collector(s.c, opt);
+    SeqTrace no_lines = SequentialSimulator(s.c).run(s.test, *s.fv);
+    ASSERT_TRUE(no_lines.lines.empty());
+    EXPECT_THROW(collector.collect(s.good, no_lines, *s.fv),
+                 std::invalid_argument);
+    const std::vector<std::size_t> nout = count_nout(s.good, s.faulty);
+    EXPECT_THROW(collector.collect(s.good, no_lines, *s.fv, nout),
+                 std::invalid_argument);
+    EXPECT_THROW(collector.collect(s.good, s.faulty, *s.fv,
+                                   std::span(nout).first(2)),
+                 std::invalid_argument);
+    SeqTrace short_faulty = s.faulty;
+    short_faulty.outputs.pop_back();
+    short_faulty.states.pop_back();
+    short_faulty.lines.pop_back();
+    EXPECT_THROW(collector.collect(s.good, short_faulty, *s.fv),
+                 std::invalid_argument);
+    SeqTrace short_good = s.good;
+    short_good.outputs.pop_back();
+    EXPECT_THROW(collector.collect(short_good, s.faulty, *s.fv),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Collector, MultiFrameBackwardDepthIsSoundOnS27) {
   // backward_depth = 2 pushes newly specified state variables one more
   // frame back; the collected sets must still only contain PSVs that were
@@ -251,26 +284,59 @@ struct Coverage {
   std::size_t pi_driven_d = 0;      ///< pairs probed on a primary input line
   std::size_t pi_driven_detect = 0; ///< ... with a detecting side
   std::size_t d_pin_faults = 0;     ///< faults on a flip-flop's D pin
+  /// Faults whose probed time units span three or more 64-lane windows of
+  /// the packed collector, the last one partial.
+  std::size_t three_windows_partial = 0;
+  /// Faults with N_out = 0 frames after their last probed time unit (the
+  /// packed window scan skips them).
+  std::size_t nout_zero_skips = 0;
+  /// Faults the §3.2 check detects at a time unit that is neither the first
+  /// lane of its window nor the last time unit with candidates.
+  std::size_t detected_mid_window = 0;
 };
 
+/// Time units u > 0 with at least one pair, ascending: the lanes the packed
+/// collector binds, 64 to a window.
+std::vector<std::uint32_t> probed_units(const CollectionResult& r) {
+  std::vector<std::uint32_t> units;
+  for (const PairInfo& p : r.pairs) {
+    if (p.u > 0 && (units.empty() || units.back() != p.u)) units.push_back(p.u);
+  }
+  return units;
+}
+
 /// Collects `f` with the Legacy serial collector and with the SoA packed
-/// collector and compares the two results, also after copying and moving
-/// the packed one (extras live in the result's own arena).
-void compare_collectors(const Circuit& c, const TestSequence& test,
-                        const SeqTrace& legacy_good, const SeqTrace& soa_good,
-                        const Fault& f, Coverage& cov) {
-  MotOptions legacy_opt;
+/// collector under `opt` (kernel overridden) and compares the two results,
+/// also after copying and moving the packed one (extras live in the
+/// result's own arena). With `work_limit` > 0 each collection runs under its
+/// own WorkBudget of that many units, and the budgets must agree too.
+/// Returns the serial result.
+CollectionResult compare_collectors(const Circuit& c, const TestSequence& test,
+                                    const SeqTrace& legacy_good,
+                                    const SeqTrace& soa_good, const Fault& f,
+                                    Coverage& cov, MotOptions opt = {},
+                                    std::uint64_t work_limit = 0) {
+  MotOptions legacy_opt = opt;
   legacy_opt.kernel = KernelKind::Legacy;
+  opt.kernel = KernelKind::SoA;
   BackwardCollector legacy(c, legacy_opt);
-  BackwardCollector soa(c, MotOptions{});
+  BackwardCollector soa(c, opt);
   SeqTrace legacy_faulty = ConventionalFaultSimulator(c, KernelKind::Legacy)
                                .simulate_fault(test, f, /*keep_lines=*/true);
   SeqTrace soa_faulty = ConventionalFaultSimulator(c, KernelKind::SoA)
                             .simulate_fault(test, f, true, &soa_good);
   const FaultView fv(c, f);
-  const CollectionResult want = legacy.collect(legacy_good, legacy_faulty, fv);
-  CollectionResult got = soa.collect(soa_good, soa_faulty, fv);
+  WorkBudget legacy_budget(Deadline{}, work_limit);
+  WorkBudget soa_budget(Deadline{}, work_limit);
+  const CollectionResult want =
+      legacy.collect(legacy_good, legacy_faulty, fv,
+                     work_limit > 0 ? &legacy_budget : nullptr);
+  CollectionResult got =
+      soa.collect(soa_good, soa_faulty, fv, work_limit > 0 ? &soa_budget : nullptr);
   expect_same_collection(want, got);
+  EXPECT_EQ(want.extras.size(), got.extras.size());
+  EXPECT_EQ(legacy_budget.work_used(), soa_budget.work_used());
+  EXPECT_EQ(legacy_budget.stop(), soa_budget.stop());
   const CollectionResult copied = got;
   const CollectionResult moved = std::move(got);
   expect_same_collection(want, copied);
@@ -287,39 +353,147 @@ void compare_collectors(const Circuit& c, const TestSequence& test,
       if (p.conf[a] && !p.side_closed(1 - a)) ++cov.froze_beside_ok;
     }
   }
+  const std::vector<std::uint32_t> units = probed_units(want);
+  if (units.size() > 128 && units.size() % 64 != 0) ++cov.three_windows_partial;
+  const std::vector<std::size_t> nout = count_nout(legacy_good, legacy_faulty);
+  if (!units.empty() && nout.back() == 0 && nout.size() > units.back()) {
+    ++cov.nout_zero_skips;
+  }
+  if (want.detected_by_check && units.size() % 64 != 1) {
+    const std::vector<std::size_t> nsv = count_nsv(legacy_faulty);
+    for (std::size_t u = want.pairs.back().u + 1; u <= nout.size(); ++u) {
+      if (nout[u - 1] > 0 && nsv[u] > 0) {
+        ++cov.detected_mid_window;
+        break;
+      }
+    }
+  }
+  return want;
 }
+
+/// The s5378 stand-in under `vectors` random vectors, with every
+/// `stride`-th condition-(C) candidate fault plus D-pin stuck faults on two
+/// flip-flops.
+struct S5378Slice {
+  Circuit c = circuits::build_benchmark("s5378");
+  TestSequence test;
+  SeqTrace legacy_good, soa_good;
+  std::vector<Fault> faults;
+
+  S5378Slice(std::size_t vectors, std::size_t stride) {
+    Rng rng(5378);
+    test = random_sequence(c.num_inputs(), vectors, rng);
+    legacy_good =
+        SequentialSimulator(c, KernelKind::Legacy).run_fault_free(test, true);
+    soa_good = SequentialSimulator(c, KernelKind::SoA).run_fault_free(test, true);
+    const std::vector<Fault> all = collapsed_fault_list(c);
+    const std::vector<ConvOutcome> conv =
+        ConventionalFaultSimulator(c).run(test, soa_good, all);
+    std::size_t candidates = 0;
+    for (std::size_t k = 0; k < all.size(); ++k) {
+      if (conv[k].passes_c && candidates++ % stride == 0) faults.push_back(all[k]);
+    }
+    for (const std::size_t j : {std::size_t{0}, c.num_dffs() / 2}) {
+      faults.push_back(Fault{c.dffs()[j], 0, j == 0 ? Val::Zero : Val::One});
+    }
+  }
+};
 
 TEST(CollectorScale, S5378SliceSerialAndPackedAgreePairByPair) {
   // Every 64th condition-(C) candidate of the s5378 stand-in under 40
-  // random vectors, plus D-pin stuck faults on two flip-flops.
-  const Circuit c = circuits::build_benchmark("s5378");
-  Rng rng(5378);
-  const TestSequence test = random_sequence(c.num_inputs(), 40, rng);
-  const SeqTrace legacy_good =
-      SequentialSimulator(c, KernelKind::Legacy).run_fault_free(test, true);
-  const SeqTrace soa_good =
-      SequentialSimulator(c, KernelKind::SoA).run_fault_free(test, true);
-  const std::vector<Fault> all = collapsed_fault_list(c);
-  const std::vector<ConvOutcome> conv =
-      ConventionalFaultSimulator(c).run(test, soa_good, all);
-  std::vector<Fault> slice;
-  std::size_t candidates = 0;
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    if (conv[k].passes_c && candidates++ % 64 == 0) slice.push_back(all[k]);
-  }
-  ASSERT_GE(slice.size(), 10u);
-  for (const std::size_t j : {std::size_t{0}, c.num_dffs() / 2}) {
-    slice.push_back(Fault{c.dffs()[j], 0, j == 0 ? Val::Zero : Val::One});
-  }
-
+  // random vectors (one packed window), plus D-pin stuck faults on two
+  // flip-flops.
+  const S5378Slice bed(40, 64);
+  ASSERT_GE(bed.faults.size(), 12u);
   Coverage cov;
-  for (const Fault& f : slice) {
-    SCOPED_TRACE(fault_name(c, f));
-    compare_collectors(c, test, legacy_good, soa_good, f, cov);
+  for (const Fault& f : bed.faults) {
+    SCOPED_TRACE(fault_name(bed.c, f));
+    compare_collectors(bed.c, bed.test, bed.legacy_good, bed.soa_good, f, cov);
   }
   EXPECT_GT(cov.pairs, 1000u);
   EXPECT_GT(cov.froze_beside_ok, 0u);
   EXPECT_EQ(cov.d_pin_faults, 2u);
+}
+
+/// 150 vectors: most faults' probed time units span three 64-lane windows
+/// of the packed collector.
+const S5378Slice& s5378_slice_150() {
+  static const S5378Slice bed(150, 320);
+  return bed;
+}
+
+TEST(CollectorScale, S5378WindowBoundariesAgreePairByPair) {
+  // Probed time units spanning three or more windows, the last one partial
+  // and followed by N_out = 0 frames the window scan skips; a §3.2
+  // detection mid-window; the D-pin stuck faults.
+  const S5378Slice& bed = s5378_slice_150();
+  ASSERT_GE(bed.faults.size(), 10u);
+  Coverage cov;
+  for (const Fault& f : bed.faults) {
+    SCOPED_TRACE(fault_name(bed.c, f));
+    compare_collectors(bed.c, bed.test, bed.legacy_good, bed.soa_good, f, cov);
+  }
+  EXPECT_GT(cov.pairs, 50000u);
+  EXPECT_GT(cov.three_windows_partial, 0u);
+  EXPECT_GT(cov.nout_zero_skips, 0u);
+  EXPECT_GT(cov.detected_mid_window, 0u);
+  EXPECT_EQ(cov.d_pin_faults, 2u);
+}
+
+TEST(CollectorScale, S5378StopsMidWindowAgree) {
+  // A max_pairs cap and a work budget that each stop the collection at the
+  // second candidate of the 70th probed time unit: mid-frame, and six lanes
+  // into the second window. The serial and packed paths must agree on the
+  // pairs, the cap flag, the arena size and the work used — and so must
+  // whole MotResults under that work limit.
+  const S5378Slice& bed = s5378_slice_150();
+  std::size_t stopped = 0;
+  for (const Fault& f : bed.faults) {
+    if (stopped == 2) break;
+    SCOPED_TRACE(fault_name(bed.c, f));
+    SeqTrace faulty = ConventionalFaultSimulator(bed.c).simulate_fault(
+        bed.test, f, true, &bed.soa_good);
+    const CollectionResult full = BackwardCollector(bed.c, MotOptions{})
+                                      .collect(bed.soa_good, faulty,
+                                               FaultView(bed.c, f));
+    const std::vector<std::uint32_t> units = probed_units(full);
+    if (units.size() < 80) continue;
+    const auto at = std::ranges::find_if(
+        full.pairs, [&](const PairInfo& p) { return p.u == units[69]; });
+    const std::size_t k = static_cast<std::size_t>(at - full.pairs.begin()) + 1;
+    if (full.pairs[k].u != units[69]) continue;  // one candidate only
+    ++stopped;
+
+    Coverage cov;
+    MotOptions cap;
+    cap.max_pairs = k;
+    const CollectionResult capped = compare_collectors(
+        bed.c, bed.test, bed.legacy_good, bed.soa_good, f, cov, cap);
+    EXPECT_TRUE(capped.capped);
+    EXPECT_EQ(capped.pairs.size(), k);
+
+    // The u = 0 pairs are synthesized without a poll; every later pair
+    // polls two units, so pair k's poll exhausts this budget.
+    const auto n0 = static_cast<std::uint64_t>(std::ranges::count_if(
+        full.pairs, [](const PairInfo& p) { return p.u == 0; }));
+    const std::uint64_t limit = 2 * (k - n0) + 1;
+    const CollectionResult budgeted = compare_collectors(
+        bed.c, bed.test, bed.legacy_good, bed.soa_good, f, cov, {}, limit);
+    EXPECT_FALSE(budgeted.capped);
+    EXPECT_EQ(budgeted.pairs.size(), k);
+
+    MotOptions legacy_opt, soa_opt;
+    legacy_opt.kernel = KernelKind::Legacy;
+    legacy_opt.per_fault_work_limit = soa_opt.per_fault_work_limit = limit;
+    const MotResult want = MotFaultSimulator(bed.c, legacy_opt)
+                               .simulate_fault(bed.test, bed.legacy_good, f);
+    const MotResult got = MotFaultSimulator(bed.c, soa_opt)
+                              .simulate_fault(bed.test, bed.soa_good, f);
+    EXPECT_EQ(want, got);
+    EXPECT_EQ(got.unresolved, UnresolvedReason::WorkLimit);
+    EXPECT_EQ(got.work_used, limit + 1);  // the stopping poll's two units
+  }
+  EXPECT_EQ(stopped, 2u);
 }
 
 TEST(CollectorScale, PrimaryInputDrivenDPinAgrees) {

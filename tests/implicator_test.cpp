@@ -8,6 +8,7 @@
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
 #include "mot/implicator.hpp"
+#include "mot/packed_implicator.hpp"
 #include "testgen/random_gen.hpp"
 
 namespace motsim {
@@ -164,6 +165,92 @@ TEST(Implicator, ChangesListsSeedsAndImplications) {
   }
   EXPECT_TRUE(seed_listed);
   impl.undo(vals);
+}
+
+// ------------------------------------------ packed frame-lane engine ----
+
+TEST(PackedImplicator, LanesBoundToDifferentFramesEachEqualASingleFrameProbe) {
+  // 64 lanes bound to the frames of a faulty s27 trace in a scrambled order
+  // with repeats. For every line seeded to either value, in both modes and
+  // on all lanes or every other lane, each probed lane's outcome — and, when
+  // Ok, every implied line value — equals a serial probe of its own frame
+  // against that frame's fault-free outputs.
+  const Circuit c = circuits::make_s27();
+  Rng rng(27);
+  const TestSequence t = random_sequence(c.num_inputs(), 9, rng);
+  const SequentialSimulator sim(c);
+  const SeqTrace good = sim.run_fault_free(t);
+  const std::vector<Fault> faults = collapsed_fault_list(c);
+  std::vector<std::uint32_t> frames(64);
+  for (std::uint32_t l = 0; l < 64; ++l) frames[l] = (l * 5 + l / 9) % 9;
+
+  std::size_t outcomes[3] = {0, 0, 0};
+  for (const Fault& f : {faults[1], faults[faults.size() / 2]}) {
+    const FaultView fv(c, f);
+    SeqTrace faulty = sim.run(t, fv, /*keep_lines=*/true);
+    PackedFrameImplicator packed(c);
+    packed.bind(good, faulty, frames);
+    FrameImplicator serial(c);
+    for (const ImplMode mode : {ImplMode::TwoPass, ImplMode::Fixpoint}) {
+      for (GateId g = 0; g < c.num_gates(); ++g) {
+        for (const Val v : {Val::Zero, Val::One}) {
+          for (const std::uint64_t lanes : {~0ull, 0x5555555555555555ull}) {
+            const PackedFrameImplicator::Outcome out =
+                packed.run(lanes, g, v, fv, mode);
+            EXPECT_EQ((out.conflict | out.detected) & ~lanes, 0u);
+            for (unsigned l = 0; l < 64; ++l) {
+              if (((lanes >> l) & 1) == 0) continue;
+              FrameVals vals = faulty.lines[frames[l]];
+              const std::pair<GateId, Val> seed{g, v};
+              const ImplOutcome want = serial.run(
+                  vals, fv, good.outputs[frames[l]], {&seed, 1}, mode);
+              const ImplOutcome got = (out.conflict >> l) & 1 ? ImplOutcome::Conflict
+                                      : (out.detected >> l) & 1
+                                          ? ImplOutcome::Detected
+                                          : ImplOutcome::Ok;
+              ASSERT_EQ(want, got) << c.gate(g).name << " lane " << l;
+              ++outcomes[static_cast<int>(want)];
+              if (want == ImplOutcome::Ok) {
+                for (GateId x = 0; x < c.num_gates(); ++x) {
+                  ASSERT_EQ(vals[x], pv_get(packed.packed_value(x), l))
+                      << c.gate(g).name << " lane " << l << " line "
+                      << c.gate(x).name;
+                }
+              }
+              serial.undo(vals);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(outcomes[static_cast<int>(ImplOutcome::Ok)], 0u);
+  EXPECT_GT(outcomes[static_cast<int>(ImplOutcome::Conflict)], 0u);
+  EXPECT_GT(outcomes[static_cast<int>(ImplOutcome::Detected)], 0u);
+}
+
+TEST(PackedImplicator, LaneWhoseGoodOutputIsXNeverDetects) {
+  // Three lanes on the same frame, where seeding G11 = v implies the output
+  // G17 = NOT v, differing only in the fault-free output row (1, X, 0):
+  // the lane whose fault-free value is opposite detects, the matching one
+  // does not, and X — nothing to compare against — never does.
+  const Circuit c = circuits::make_s27();
+  SeqTrace faulty;
+  faulty.lines.assign(3, s27_frame_1011(c));
+  SeqTrace good;
+  good.outputs = {{Val::One}, {Val::X}, {Val::Zero}};
+  const std::uint32_t frames[] = {0, 1, 2};
+  PackedFrameImplicator packed(c);
+  packed.bind(good, faulty, frames);
+  for (const ImplMode mode : {ImplMode::TwoPass, ImplMode::Fixpoint}) {
+    for (const Val v : {Val::One, Val::Zero}) {
+      const PackedFrameImplicator::Outcome out =
+          packed.run(0b111, c.find("G11"), v, FaultView(c), mode);
+      EXPECT_EQ(out.conflict, 0u);
+      EXPECT_EQ(out.detected, v == Val::One ? 0b001u : 0b100u);
+      EXPECT_EQ(pv_get(packed.packed_value(c.find("G17")), 1), v_not(v));
+    }
+  }
 }
 
 // --------------------------------------- exhaustive soundness property ----
