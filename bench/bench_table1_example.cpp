@@ -86,22 +86,24 @@ void reproduction() {
     if (!p.both_open() || p.u >= nout.size() || nout[p.u] == 0) continue;
     std::printf("(b) after expansion of state variable y%u at time unit %u\n",
                 p.i, p.u);
-    const auto copies = set.duplicate_active();
-    for (const auto& [j, beta] : collected.extra(p, 0)) set.assign(0, p.u, j, beta);
-    for (const auto& [j, beta] : collected.extra(p, 1)) {
-      set.assign(copies[0], p.u, j, beta);
-    }
+    set.split(p.u, collected.extra(p, 0), collected.extra(p, 1));
     break;
   }
   set.resimulate();
   for (std::size_t s = 0; s < set.size(); ++s) {
-    const StateSeq& sq = set.seq(s);
+    const SeqStatus status = set.status(s);
     std::printf("  sequence %zu (%s):\n", s + 1,
-                sq.status == SeqStatus::Detected
+                status == SeqStatus::Detected
                     ? "fault detected"
-                    : sq.status == SeqStatus::Infeasible ? "infeasible"
-                                                         : "still active");
-    print_rows("state", sq.states, L);
+                    : status == SeqStatus::Infeasible ? "infeasible"
+                                                      : "still active");
+    std::vector<std::vector<Val>> states(L + 1);
+    for (std::size_t u = 0; u <= L; ++u) {
+      for (std::size_t j = 0; j < w->c.num_dffs(); ++j) {
+        states[u].push_back(set.state(s, u, j));
+      }
+    }
+    print_rows("state", states, L);
   }
 
   MotFaultSimulator proposed(w->c);

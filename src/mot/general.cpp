@@ -6,45 +6,11 @@ namespace motsim {
 
 namespace {
 
-/// Splits the earliest state variable that is unspecified in every active
-/// sequence, resimulating after each split, until the budget is reached or
-/// nothing is left to split. (Plain expansion: the ranking heuristics of
-/// Procedure 2 are detection-oriented and do not apply to the fault-free
-/// machine, which has no reference response to conflict with.)
-void plain_expand(StateSet& set, const Circuit& c, const TestSequence& test,
-                  std::size_t n_states, WorkBudget& budget) {
-  // all_resolved() also guards the vacuous case where no active sequence is
-  // left: unspecified_everywhere() would then hold for every variable and
-  // the empty duplication would loop forever.
-  while (!set.all_resolved() && set.size() * 2 <= n_states) {
-    // Charge by set size: each split duplicates every active sequence, and
-    // the doubling growth would otherwise outrun the poll clock stride.
-    if (budget.poll(set.size())) return;  // fault reported as unresolved
-    bool found = false;
-    for (std::size_t u = 0; u <= test.length() && !found; ++u) {
-      for (std::size_t i = 0; i < c.num_dffs() && !found; ++i) {
-        if (!set.unspecified_everywhere(u, i)) continue;
-        found = true;
-        const std::size_t originals = set.size();
-        const std::vector<std::size_t> copies = set.duplicate_active();
-        for (std::size_t s = 0; s < originals; ++s) {
-          if (set.seq(s).status != SeqStatus::Active) continue;
-          set.assign(s, u, i, Val::Zero);
-        }
-        for (std::size_t s : copies) set.assign(s, u, i, Val::One);
-      }
-    }
-    if (!found) break;
-    set.resimulate(&budget);
-    if (set.all_resolved()) break;
-  }
-}
-
 /// Output sequence implied by a (partially specified) state sequence.
 std::vector<std::vector<Val>> outputs_of(const Circuit& c,
                                          const TestSequence& test,
                                          const FaultView& fv,
-                                         const StateSeq& seq) {
+                                         const StateSet& set, std::size_t s) {
   const SequentialSimulator sim(c);
   std::vector<std::vector<Val>> out(test.length(),
                                     std::vector<Val>(c.num_outputs(), Val::X));
@@ -54,7 +20,7 @@ std::vector<std::vector<Val>> outputs_of(const Circuit& c,
       frame[c.inputs()[k]] = fv.input_value(k, test.at(u, k));
     }
     for (std::size_t j = 0; j < c.num_dffs(); ++j) {
-      frame[c.dffs()[j]] = seq.states[u][j];
+      frame[c.dffs()[j]] = set.state(s, u, j);
     }
     sim.eval_frame(frame, fv);
     for (std::size_t o = 0; o < c.num_outputs(); ++o) {
@@ -127,19 +93,19 @@ GeneralMotResult GeneralMotSimulator::simulate_fault(const TestSequence& test,
   const SequentialSimulator sim(c);
   SeqTrace good_lines = sim.run_fault_free(test, /*keep_lines=*/true);
   StateSet good_set(c, test, good, fault_free, good_lines, options_.mot.kernel);
-  plain_expand(good_set, c, test, options_.good_n_states, budget);
+  good_set.plain_expand(options_.good_n_states, budget);
   if (budget.exhausted()) return unresolved_verdict();
 
   // ...and the faulty machine into its set of undistinguished responses.
   const FaultView fv(c, f);
   StateSet faulty_set(c, test, good, fv, faulty, options_.mot.kernel);
-  plain_expand(faulty_set, c, test, options_.mot.n_states, budget);
+  faulty_set.plain_expand(options_.mot.n_states, budget);
   if (budget.exhausted()) return unresolved_verdict();
 
   std::vector<std::vector<std::vector<Val>>> good_outputs;
   for (std::size_t g = 0; g < good_set.size(); ++g) {
-    if (good_set.seq(g).status == SeqStatus::Infeasible) continue;
-    good_outputs.push_back(outputs_of(c, test, fault_free, good_set.seq(g)));
+    if (good_set.status(g) == SeqStatus::Infeasible) continue;
+    good_outputs.push_back(outputs_of(c, test, fault_free, good_set, g));
   }
   result.good_sequences = good_outputs.size();
 
@@ -147,11 +113,11 @@ GeneralMotResult GeneralMotSimulator::simulate_fault(const TestSequence& test,
   // fault-free sequence.
   bool all_distinguished = true;
   for (std::size_t s = 0; s < faulty_set.size(); ++s) {
-    if (faulty_set.seq(s).status != SeqStatus::Active) continue;
+    if (faulty_set.status(s) != SeqStatus::Active) continue;
     // Deriving one output sequence evaluates test.length() frames.
     if (budget.poll(test.length())) return unresolved_verdict();
     ++result.faulty_sequences;
-    const auto fo = outputs_of(c, test, fv, faulty_set.seq(s));
+    const auto fo = outputs_of(c, test, fv, faulty_set, s);
     for (const auto& go : good_outputs) {
       if (!output_seqs_conflict(fo, go)) {
         all_distinguished = false;

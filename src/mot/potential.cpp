@@ -41,31 +41,15 @@ PotentialResult potential_detection_estimate(const Circuit& c,
   StateSet set(c, test, good, fv, faulty);
 
   // Plain breadth-first expansion of the earliest unspecified variables —
-  // the "limited state expansion" of [7].
-  while (!set.all_resolved() && set.size() * 2 <= n_states) {
-    bool found = false;
-    for (std::size_t u = 0; u <= test.length() && !found; ++u) {
-      for (std::size_t i = 0; i < c.num_dffs() && !found; ++i) {
-        if (!set.unspecified_everywhere(u, i)) continue;
-        found = true;
-        const std::size_t originals = set.size();
-        const std::vector<std::size_t> copies = set.duplicate_active();
-        for (std::size_t s = 0; s < originals; ++s) {
-          if (set.seq(s).status != SeqStatus::Active) continue;
-          set.assign(s, u, i, Val::Zero);
-        }
-        for (std::size_t s : copies) set.assign(s, u, i, Val::One);
-      }
-    }
-    if (!found) break;
-    set.resimulate();
-  }
+  // the "limited state expansion" of [7], with no budget.
+  WorkBudget unlimited;
+  set.plain_expand(n_states, unlimited);
 
   result.total_states = set.size();
   for (std::size_t s = 0; s < set.size(); ++s) {
     // Infeasible sequences cover no run; counting them as "detected"
     // matches the restricted-MOT criterion (their runs do not exist).
-    if (set.seq(s).status != SeqStatus::Active) ++result.detected_states;
+    if (set.status(s) != SeqStatus::Active) ++result.detected_states;
   }
   return result;
 }

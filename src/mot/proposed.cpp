@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <functional>
 
 namespace motsim {
 
@@ -55,9 +56,11 @@ UnresolvedReason reason_of(BudgetStop stop) {
 
 }  // namespace
 
-std::vector<const PairInfo*> rank_expansion_candidates(
-    std::span<const PairInfo> pairs, std::span<const std::size_t> nout,
-    std::span<const std::size_t> nsv, SelectionPolicy policy) {
+ExpansionRanking::ExpansionRanking(std::span<const PairInfo> pairs,
+                                   std::span<const std::size_t> nout,
+                                   std::span<const std::size_t> nsv,
+                                   SelectionPolicy policy)
+    : pairs_(pairs) {
   // Step 3's static part: candidates must be two-sided, with N_out(u) > 0
   // and N_sv(u) > 0 (there must be something left to specify, and somewhere
   // to observe it). Ranked once by the static criteria of steps 4-6; a
@@ -100,7 +103,6 @@ std::vector<const PairInfo*> rank_expansion_candidates(
   assert(std::bit_width(units.size()) + 2 * w <= 64);
   const std::uint64_t top = (std::uint64_t{1} << w) - 1;
 
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
   for (std::uint32_t k = 0; k < pairs.size(); ++k) {
     const PairInfo& p = pairs[k];
     if (!eligible(p)) continue;
@@ -110,20 +112,31 @@ std::vector<const PairInfo*> rank_expansion_candidates(
       const std::uint64_t hi = std::max(p.n_extra(0), p.n_extra(1));
       key |= (top - lo) << w | (top - hi);
     }
-    keyed.emplace_back(key, k);
+    heap_.emplace_back(key, k);
   }
-  // (key, index) pairs are distinct: this is the stable order by key.
-  std::sort(keyed.begin(), keyed.end());
+  // (key, index) entries are distinct: popping yields the stable order by
+  // key.
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+}
+
+void ExpansionRanking::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+  heap_.pop_back();
+}
+
+std::vector<const PairInfo*> ExpansionRanking::drain() {
   std::vector<const PairInfo*> order;
-  order.reserve(keyed.size());
-  for (const auto& [key, k] : keyed) order.push_back(&pairs[k]);
+  order.reserve(heap_.size());
+  while (!empty()) {
+    order.push_back(top());
+    pop();
+  }
   return order;
 }
 
-const PairInfo* MotFaultSimulator::select_pair(const CollectionResult& pool,
-                                               std::vector<const PairInfo*>& order,
-                                               std::size_t& cursor,
-                                               const StateSet& set) {
+const PairInfo* MotFaultSimulator::select_pair(
+    const CollectionResult& pool, ExpansionRanking& ranking,
+    std::vector<const PairInfo*>& random_order, const StateSet& set) {
   // The constraint of step 3: every variable of sv(u,i) — the union of the
   // variables in both extra sets — must be unspecified at u in all active
   // sequences. Checked without materializing the union; duplicates are
@@ -138,18 +151,14 @@ const PairInfo* MotFaultSimulator::select_pair(const CollectionResult& pool,
     return true;
   };
   if (options_.selection == SelectionPolicy::Random) {
-    std::erase_if(order, [&](const PairInfo* p) { return !valid(p); });
-    if (order.empty()) return nullptr;
-    return order[selection_rng_.next_below(order.size())];
+    std::erase_if(random_order, [&](const PairInfo* p) { return !valid(p); });
+    if (random_order.empty()) return nullptr;
+    return random_order[selection_rng_.next_below(random_order.size())];
   }
-  // The ranking is static and specification is monotone: pairs skipped as
-  // invalid can never become valid again, so a cursor over the sorted order
-  // implements the paper's filter cascade in amortized linear time.
-  while (cursor < order.size()) {
-    if (valid(order[cursor])) return order[cursor];
-    ++cursor;
-  }
-  return nullptr;
+  // The ranking is static and specification is monotone: pairs popped as
+  // invalid can never become valid again, so walking the heap implements
+  // the paper's filter cascade.
+  return ranking.first_valid(valid);
 }
 
 WorkBudget MotFaultSimulator::make_budget() const {
@@ -187,34 +196,22 @@ bool MotFaultSimulator::expand_and_resimulate(
   }
 
   // Procedure 2, steps 3-10 (phase 2): duplicating expansions.
-  std::vector<const PairInfo*> order =
-      rank_expansion_candidates(pool.pairs, nout, nsv, options_.selection);
-  std::size_t cursor = 0;
+  ExpansionRanking ranking(pool.pairs, nout, nsv, options_.selection);
+  std::vector<const PairInfo*> random_order;
+  if (options_.selection == SelectionPolicy::Random) random_order = ranking.drain();
   while (set.size() * 2 <= options_.n_states) {
     // An expansion duplicates every active sequence, so its cost scales
     // with the set size — charge that many units (not 1) or the doubling
     // growth would reach a huge N_STATES in too few polls for the clock
     // stride to ever observe the deadline.
     if (budget.poll(set.size())) return false;  // caller reads the reason
-    const PairInfo* pick = select_pair(pool, order, cursor, set);
+    const PairInfo* pick = select_pair(pool, ranking, random_order, set);
     if (pick == nullptr) break;
     ++result.expansions;
     result.counters.n_extra += pick->n_extra(0) + pick->n_extra(1);
 
-    const std::size_t originals = set.size();
-    const std::vector<std::size_t> copies = set.duplicate_active();
     // Originals take extra(u,i,0), copies take extra(u,i,1).
-    for (std::size_t s = 0; s < originals; ++s) {
-      if (set.seq(s).status != SeqStatus::Active) continue;
-      for (const auto& [j, beta] : pool.extra(*pick, 0)) {
-        set.assign(s, pick->u, j, beta);
-      }
-    }
-    for (std::size_t s : copies) {
-      for (const auto& [j, beta] : pool.extra(*pick, 1)) {
-        set.assign(s, pick->u, j, beta);
-      }
-    }
+    set.split(pick->u, pool.extra(*pick, 0), pool.extra(*pick, 1));
   }
 
   // §3.4: resimulate and check.

@@ -86,9 +86,42 @@ struct MotResult {
 /// N_out(u) > 0 and N_sv(u) > 0, ordered by N_out(u) descending, N_sv(u)
 /// ascending and — under SelectionPolicy::Full only — the smaller, then the
 /// larger extra() set descending; ties keep the order of `pairs`.
-std::vector<const PairInfo*> rank_expansion_candidates(
-    std::span<const PairInfo> pairs, std::span<const std::size_t> nout,
-    std::span<const std::size_t> nsv, SelectionPolicy policy);
+///
+/// The pairs sit in a binary heap keyed by one distinct integer per pair, so
+/// building it is linear and the walk pays log n only for the pairs it pops:
+/// an expansion usually stops after a handful of the thousands of ranked
+/// pairs.
+class ExpansionRanking {
+ public:
+  ExpansionRanking(std::span<const PairInfo> pairs,
+                   std::span<const std::size_t> nout,
+                   std::span<const std::size_t> nsv, SelectionPolicy policy);
+
+  bool empty() const { return heap_.empty(); }
+  /// The highest-ranked remaining pair. Precondition: !empty().
+  const PairInfo* top() const { return &pairs_[heap_.front().second]; }
+  void pop();
+
+  /// Pops pairs until the top one satisfies `valid`; returns it (still
+  /// ranked) or nullptr once the ranking is exhausted.
+  template <typename Valid>
+  const PairInfo* first_valid(Valid&& valid) {
+    while (!empty()) {
+      if (valid(top())) return top();
+      pop();
+    }
+    return nullptr;
+  }
+
+  /// Pops every remaining pair, in rank order.
+  std::vector<const PairInfo*> drain();
+
+ private:
+  std::span<const PairInfo> pairs_;
+  /// (key, index into pairs_), a min-heap: distinct entries, so pops come
+  /// out in exactly the order of a full sort.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> heap_;
+};
 
 class MotFaultSimulator {
  public:
@@ -125,9 +158,11 @@ class MotFaultSimulator {
 
  private:
   /// Procedure 2 steps 3-7: picks the next pair to expand, or nullptr.
+  /// `random_order` is the drained ranking under SelectionPolicy::Random.
   const PairInfo* select_pair(const CollectionResult& pool,
-                              std::vector<const PairInfo*>& order,
-                              std::size_t& cursor, const StateSet& set);
+                              ExpansionRanking& ranking,
+                              std::vector<const PairInfo*>& random_order,
+                              const StateSet& set);
 
   /// Procedure 2 (phases 1-2) + §3.4 over a given candidate pool. Returns
   /// true when every sequence resolved (fault detected).

@@ -12,6 +12,7 @@
 //   * 100 structured-random fuzz circuits compared per fault (MotResult,
 //     BaselineResult and ConvOutcome under operator==),
 //   * every committed corpus bundle in tests/corpus/ compared per fault,
+//     both also at N_STATES = 256 (four packs of 64 expansion lanes),
 //   * the committed ISCAS-85 conformance goldens in tests/testcases/
 //     reproduced byte-identically by both kernels at 1 and 8 threads.
 #include <gtest/gtest.h>
@@ -99,14 +100,20 @@ INSTANTIATE_TEST_SUITE_P(EmbeddedCircuits, KernelEquivalenceCircuits,
 // Per-fault engine comparison: every MotResult / BaselineResult / ConvOutcome
 // field must match bit for bit (defaulted operator==), not just the
 // aggregate counts. Selection seeds are reseeded identically on both sides
-// so random pair selection cannot mask a divergence.
+// so random pair selection cannot mask a divergence. Adds to `multi_pack`
+// the faults that ended with more than 64 sequences (more than one pack of
+// expansion lanes).
 void expect_per_fault_equivalence(const Circuit& c, const TestSequence& test,
                                   std::span<const Fault> faults,
-                                  std::uint64_t selection_salt) {
+                                  std::uint64_t selection_salt,
+                                  std::size_t n_states,
+                                  std::size_t& multi_pack) {
   MotOptions legacy_opt;
   legacy_opt.kernel = KernelKind::Legacy;
+  legacy_opt.n_states = n_states;
   MotOptions soa_opt;
   soa_opt.kernel = KernelKind::SoA;
+  soa_opt.n_states = n_states;
 
   const SequentialSimulator legacy_sim(c, KernelKind::Legacy);
   const SequentialSimulator soa_sim(c, KernelKind::SoA);
@@ -139,6 +146,7 @@ void expect_per_fault_equivalence(const Circuit& c, const TestSequence& test,
         legacy_mot.simulate_fault(test, legacy_good, f, legacy_faulty);
     const MotResult sm = soa_mot.simulate_fault(test, soa_good, f, soa_faulty);
     EXPECT_EQ(lm, sm);
+    multi_pack += sm.final_sequences > 64;
 
     legacy_base.reseed_selection(~seed);
     soa_base.reseed_selection(~seed);
@@ -157,10 +165,12 @@ std::uint64_t mix(std::uint64_t base, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
-TEST(KernelEquivalence, HundredFuzzCircuitsMatchPerFault) {
-  constexpr std::size_t kSeeds = 100;
+/// The first `seeds` of the structured-random fuzz circuits, four faults
+/// each, compared per fault at `n_states`; returns the multi-pack count.
+std::size_t expect_fuzz_equivalence(std::size_t seeds, std::size_t n_states) {
+  std::size_t multi_pack = 0;
   constexpr std::size_t kFaultsPerCircuit = 4;
-  for (std::size_t i = 0; i < kSeeds; ++i) {
+  for (std::size_t i = 0; i < seeds; ++i) {
     const std::uint64_t case_seed = mix(41, i);
     SCOPED_TRACE("seed " + std::to_string(case_seed));
     Rng rng(case_seed);
@@ -182,11 +192,23 @@ TEST(KernelEquivalence, HundredFuzzCircuitsMatchPerFault) {
     std::vector<Fault> faults = collapsed_fault_list(c);
     rng.shuffle(faults);
     if (faults.size() > kFaultsPerCircuit) faults.resize(kFaultsPerCircuit);
-    expect_per_fault_equivalence(c, test, faults, case_seed);
+    expect_per_fault_equivalence(c, test, faults, case_seed, n_states,
+                                 multi_pack);
   }
+  return multi_pack;
 }
 
-TEST(KernelEquivalence, CommittedCorpusMatchesPerFault) {
+TEST(KernelEquivalence, HundredFuzzCircuitsMatchPerFault) {
+  expect_fuzz_equivalence(100, MotOptions{}.n_states);
+}
+
+// 256 sequences are four packs of 64 lanes: expansions and resimulation
+// cross pack boundaries, which the default N_STATES never does.
+TEST(KernelEquivalence, FuzzCircuitsMatchPerFaultAcrossPacks) {
+  EXPECT_GT(expect_fuzz_equivalence(100, 256), 0u);
+}
+
+void expect_corpus_equivalence(std::size_t n_states, std::size_t& multi_pack) {
   std::vector<std::filesystem::path> files;
   for (const auto& entry :
        std::filesystem::directory_iterator(MOTSIM_CORPUS_DIR)) {
@@ -200,8 +222,19 @@ TEST(KernelEquivalence, CommittedCorpusMatchesPerFault) {
     std::string error;
     ASSERT_TRUE(verify::load_bundle(path.string(), bundle, error)) << error;
     expect_per_fault_equivalence(bundle.circuit, bundle.test, bundle.faults,
-                                 bundle.seed);
+                                 bundle.seed, n_states, multi_pack);
   }
+}
+
+TEST(KernelEquivalence, CommittedCorpusMatchesPerFault) {
+  std::size_t multi_pack = 0;
+  expect_corpus_equivalence(MotOptions{}.n_states, multi_pack);
+}
+
+TEST(KernelEquivalence, CommittedCorpusMatchesPerFaultAcrossPacks) {
+  std::size_t multi_pack = 0;
+  expect_corpus_equivalence(256, multi_pack);
+  EXPECT_GT(multi_pack, 0u);
 }
 
 // ------------------------------------------------- iscas conformance ----

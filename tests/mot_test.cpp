@@ -389,10 +389,67 @@ TEST(Ranking, KeyedOrderEqualsComparatorOrder) {
       }
     }
     for (const SelectionPolicy policy :
-         {SelectionPolicy::Full, SelectionPolicy::TimeOnly}) {
-      EXPECT_EQ(rank_expansion_candidates(pairs, nout, nsv, policy),
-                rank_by_comparator(pairs, nout, nsv,
-                                   policy == SelectionPolicy::Full));
+         {SelectionPolicy::Full, SelectionPolicy::TimeOnly,
+          SelectionPolicy::Random}) {
+      const std::vector<const PairInfo*> want = rank_by_comparator(
+          pairs, nout, nsv, policy == SelectionPolicy::Full);
+      EXPECT_EQ(ExpansionRanking(pairs, nout, nsv, policy).drain(), want);
+      // Popped one at a time, to exhaustion.
+      ExpansionRanking ranking(pairs, nout, nsv, policy);
+      std::vector<const PairInfo*> popped;
+      while (!ranking.empty()) {
+        popped.push_back(ranking.top());
+        ranking.pop();
+      }
+      EXPECT_EQ(popped, want);
+    }
+  }
+}
+
+TEST(Ranking, LazyWalkPicksWhatTheSortedCursorPicks) {
+  // select_pair's walk: take the first valid pair in rank order, where a
+  // pair found invalid never becomes valid again (specification is
+  // monotone). The heap's first_valid() must pick exactly the pairs a
+  // cursor over the fully sorted order picks.
+  Rng rng(977);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t L = 1 + rng.next_below(10);
+    std::vector<std::size_t> nout(L), nsv(L + 1);
+    for (auto& v : nout) v = rng.next_below(4);
+    for (auto& v : nsv) v = rng.next_below(4);
+    std::vector<PairInfo> pairs(rng.next_below(120));
+    for (PairInfo& p : pairs) {
+      p.u = static_cast<std::uint32_t>(rng.next_below(L + 1));
+      p.i = static_cast<std::uint32_t>(rng.next_below(8));
+      for (int a = 0; a < 2; ++a) {
+        p.conf[a] = rng.next_below(8) == 0;
+        p.detect[a] = rng.next_below(8) == 0;
+        p.extra_len[a] = static_cast<std::uint32_t>(rng.next_below(20));
+      }
+    }
+    const SelectionPolicy policy =
+        trial % 2 ? SelectionPolicy::Full : SelectionPolicy::TimeOnly;
+    const std::vector<const PairInfo*> sorted =
+        rank_by_comparator(pairs, nout, nsv, policy == SelectionPolicy::Full);
+    ExpansionRanking ranking(pairs, nout, nsv, policy);
+
+    // Each round invalidates a random set of pairs for good, then both
+    // walks pick; the picked pair itself is invalidated half the time,
+    // as an expansion that specifies its own variables does.
+    std::vector<std::uint8_t> invalid(pairs.size(), 0);
+    const auto valid = [&](const PairInfo* p) { return !invalid[p - pairs.data()]; };
+    std::size_t cursor = 0;
+    for (int round = 0; round < 12; ++round) {
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (rng.next_below(6) == 0) invalid[k] = 1;
+      }
+      while (cursor < sorted.size() && !valid(sorted[cursor])) ++cursor;
+      const PairInfo* want = cursor < sorted.size() ? sorted[cursor] : nullptr;
+      const PairInfo* got = ranking.first_valid(valid);
+      ASSERT_EQ(got, want) << "round " << round;
+      if (got == nullptr) break;
+      if (rng.next_bool()) invalid[got - pairs.data()] = 1;
     }
   }
 }
