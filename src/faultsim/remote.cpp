@@ -4,14 +4,11 @@
 #include <signal.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <thread>
 
-#include "faultsim/checkpoint.hpp"
 #include "faultsim/shard.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
@@ -21,8 +18,6 @@ namespace motsim {
 namespace sp = subprocess;
 
 namespace {
-
-constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 
 /// Cancel-aware sleep in small poll slices (no signals: library code).
 void sleep_ms(std::uint64_t ms, const CancelToken* cancel) {
@@ -35,26 +30,176 @@ void sleep_ms(std::uint64_t ms, const CancelToken* cancel) {
   }
 }
 
-int poll_readable(int fd, int timeout_ms) {
-  struct pollfd p = {fd, POLLIN, 0};
-  while (true) {
-    const int r = ::poll(&p, 1, timeout_ms);
-    if (r >= 0) return r;
-    if (errno == EINTR) return 0;  // let the caller re-check stop conditions
-    return -1;
-  }
+MotOptions serial(MotOptions options) {
+  options.num_threads = 1;
+  options.campaign_time_ms = 0;
+  return options;
 }
 
-/// What one connection's serve loop ended with.
-enum class ConnEnd : std::uint8_t {
-  Shutdown,     ///< coordinator said Shutdown: clean exit
-  Lost,         ///< link died (EOF/EPIPE/corruption): reconnect, keep replay
-  ChaosKilled,  ///< emulated SIGKILL: reconnect with amnesia
-  Cancelled,    ///< local cancel tripped
-  Rejected,     ///< coordinator sent Reject: terminal
-};
-
 }  // namespace
+
+WorkerSession::WorkerSession(const Circuit& c, MotOptions options,
+                             bool run_baseline, const TestSequence& test,
+                             const SeqTrace& good,
+                             const std::vector<Fault>& faults,
+                             const JournalMeta& meta,
+                             const RemoteWorkerOptions& opts)
+    : runner_(c, serial(options), run_baseline),
+      test_(&test),
+      good_(&good),
+      faults_(&faults),
+      run_baseline_(run_baseline),
+      hello_(shard::encode_hello(meta)),
+      opts_(opts) {}
+
+SessionEnd WorkerSession::serve(netio::ByteChannel& chan,
+                                std::span<const std::string> replay,
+                                const RecordHook& on_record,
+                                RemoteWorkerReport& report, std::string& why,
+                                const CancelToken* cancel) const {
+  auto cancelled = [&] { return cancel != nullptr && cancel->cancelled(); };
+  sp::FrameReader reader(chan);
+  std::uint8_t type = 0;
+  std::string payload;
+
+  // ---- handshake ------------------------------------------------------
+  if (sp::write_frame(chan, static_cast<std::uint8_t>(shard::MsgType::Hello),
+                      hello_) != 0) {
+    why = "handshake write failed";
+    return SessionEnd::Lost;
+  }
+  shard::WelcomeInfo welcome;
+  why = "handshake timed out";
+  const std::uint64_t deadline =
+      sp::steady_now_ms() + opts_.handshake_timeout_ms;
+  while (true) {
+    if (cancelled()) return SessionEnd::Cancelled;
+    if (sp::steady_now_ms() >= deadline) return SessionEnd::Lost;
+    const sp::ReadStatus r = sp::read_frame(reader, 100, type, payload);
+    if (r == sp::ReadStatus::Lost) return SessionEnd::Lost;
+    if (r == sp::ReadStatus::Idle) continue;
+    const auto mt = static_cast<shard::MsgType>(type);
+    if (mt == shard::MsgType::Welcome) {
+      if (shard::decode_welcome(payload, welcome)) break;
+      why = "malformed welcome";
+      return SessionEnd::Lost;
+    }
+    if (mt == shard::MsgType::Reject) {
+      // "no_free_slot" is a race, not a verdict: the coordinator has not yet
+      // noticed our previous incarnation's death. Every other reason (wrong
+      // campaign, budget spent, campaign stopping) is authoritative.
+      why = "rejected: " + payload;
+      return payload == "no_free_slot" ? SessionEnd::Lost
+                                       : SessionEnd::Rejected;
+    }
+    // Anything else before Welcome is ignored.
+  }
+  ++report.connections;
+  why = "connection lost";
+
+  // ---- admitted: heartbeats, replay, then serve -------------------------
+  std::mutex write_mu;
+  auto send = [&](shard::MsgType t, std::string_view body) {
+    std::lock_guard<std::mutex> lk(write_mu);
+    return sp::write_frame(chan, static_cast<std::uint8_t>(t), body);
+  };
+
+  std::atomic<bool> stop{false};
+  std::mutex hb_mu;
+  std::condition_variable hb_cv;
+  std::thread heartbeat;
+  if (welcome.heartbeat_period_ms > 0) {
+    // Sleeps until the next beat is due instead of polling a short tick:
+    // zero wakeups between beats, and the end of the session interrupts
+    // the wait via the condition variable rather than waiting out the
+    // period.
+    heartbeat = std::thread([&] {
+      const auto period = std::chrono::milliseconds(welcome.heartbeat_period_ms);
+      std::unique_lock<std::mutex> lk(hb_mu);
+      auto next = std::chrono::steady_clock::now() + period;
+      while (!hb_cv.wait_until(lk, next, [&] {
+        return stop.load(std::memory_order_relaxed);
+      })) {
+        if (send(shard::MsgType::Heartbeat, "") != 0) break;
+        next = std::chrono::steady_clock::now() + period;
+      }
+    });
+  }
+
+  const SessionEnd end = [&] {
+    // Replay first: anything this process already computed but the
+    // coordinator may not have seen (the link died mid-stream). Duplicates
+    // are dropped by the coordinator's idempotent commit.
+    for (const std::string& record : replay) {
+      if (send(shard::MsgType::FaultResult, record) != 0) {
+        return SessionEnd::Lost;
+      }
+      ++report.replayed_records;
+    }
+    std::vector<std::size_t> group;
+    while (true) {
+      const sp::ReadStatus r = sp::read_frame(reader, 200, type, payload);
+      if (r != sp::ReadStatus::Frame) {
+        if (cancelled()) return SessionEnd::Cancelled;
+        if (r == sp::ReadStatus::Lost) return SessionEnd::Lost;
+        continue;
+      }
+      const auto mt = static_cast<shard::MsgType>(type);
+      if (mt == shard::MsgType::Shutdown) return SessionEnd::Shutdown;
+      if (mt != shard::MsgType::Assign) continue;  // never sent mid-serve
+      if (!shard::decode_assign(payload, group)) {
+        return SessionEnd::Lost;  // protocol violation: die visibly
+      }
+      for (const std::size_t k : group) {
+        if (cancelled()) return SessionEnd::Cancelled;
+        // Between-faults peek: a buffered Shutdown and a dead link are
+        // different verdicts — Shutdown ends the campaign cleanly, a dead
+        // link must put a TCP worker back on the reconnect path with its
+        // replay log intact (mistaking EOF for Shutdown strands the
+        // coordinator's rejoin window when this is the only worker).
+        while (true) {
+          const sp::ReadStatus peek = sp::read_frame(reader, 0, type, payload);
+          if (peek == sp::ReadStatus::Idle) break;
+          if (peek == sp::ReadStatus::Lost) return SessionEnd::Lost;
+          if (static_cast<shard::MsgType>(type) == shard::MsgType::Shutdown) {
+            return SessionEnd::Shutdown;
+          }
+        }
+        if (send(shard::MsgType::FaultStart, shard::encode_fault_start(k)) !=
+            0) {
+          return SessionEnd::Lost;
+        }
+        // Chaos: die exactly where a crashing engine would — fault
+        // announced, result not yet produced.
+        if (k == opts_.chaos_abort_fault ||
+            shard::chaos_should_kill(opts_.chaos_kill_seed, k,
+                                     welcome.incarnation,
+                                     opts_.chaos_kill_permille)) {
+          if (opts_.chaos_die_hard) ::raise(SIGKILL);
+          return SessionEnd::ChaosKilled;
+        }
+        const std::size_t one[] = {k};
+        const std::vector<MotBatchItem> out =
+            runner_.run(*test_, *good_, *faults_, one);
+        ++report.faults_simulated;
+        const std::string record = encode_journal_record(out[0], run_baseline_);
+        on_record(out[0], record);
+        if (send(shard::MsgType::FaultResult, record) != 0) {
+          return SessionEnd::Lost;
+        }
+      }
+      if (send(shard::MsgType::GroupDone, "") != 0) return SessionEnd::Lost;
+    }
+  }();
+
+  {
+    std::lock_guard<std::mutex> lk(hb_mu);
+    stop.store(true, std::memory_order_relaxed);
+  }
+  hb_cv.notify_all();
+  if (heartbeat.joinable()) heartbeat.join();
+  return end;
+}
 
 int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
                         const TestSequence& test, const SeqTrace& good,
@@ -65,25 +210,22 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
   if (report == nullptr) report = &local_report;
   *report = RemoteWorkerReport{};
 
-  // Remote workers are serial lanes, exactly like forked ones: parallelism
-  // is the worker count, and campaign budgets belong to the coordinator.
-  MotOptions opt = options;
-  opt.num_threads = 1;
-  opt.campaign_time_ms = 0;
-  const MotBatchRunner runner(c, opt, run_baseline);
-  const JournalMeta meta =
-      make_journal_meta(c.name(), faults.size(), test, opt, run_baseline);
-  const std::string hello = shard::encode_hello(meta);
+  const WorkerSession session(
+      c, options, run_baseline, test, good, faults,
+      make_journal_meta(c.name(), faults.size(), test, options, run_baseline),
+      opts);
 
   // Journal records produced by this process, in production order. Replayed
   // after every reconnect; cleared only by an emulated chaos kill (a real
   // SIGKILL clears it by losing the process).
   std::vector<std::string> replay;
+  const WorkerSession::RecordHook keep = [&](const MotBatchItem&,
+                                             const std::string& record) {
+    replay.push_back(record);
+  };
 
   RetrySchedule backoff(opts.reconnect_backoff);
   std::size_t consecutive_failures = 0;
-
-  auto cancelled = [&] { return cancel != nullptr && cancel->cancelled(); };
   auto connect_failed = [&](const std::string& why) {
     ++consecutive_failures;
     if (consecutive_failures >= opts.max_connect_attempts) {
@@ -95,269 +237,33 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
   };
 
   while (true) {
-    if (cancelled()) {
+    if (cancel != nullptr && cancel->cancelled()) {
       report->error = "cancelled";
       return kRemoteWorkerOk;
     }
-
-    // ---- connect + handshake -----------------------------------------
-    std::string conn_err;
+    std::string why;
     const int fd =
-        netio::tcp_connect(opts.host, opts.port, opts.connect_deadline_ms,
-                           conn_err);
+        netio::tcp_connect(opts.host, opts.port, opts.connect_deadline_ms, why);
     if (fd < 0) {
-      if (connect_failed("connect: " + conn_err)) {
+      if (connect_failed("connect: " + why)) {
         return kRemoteWorkerTransportFailure;
       }
       continue;
     }
     netio::SocketChannel chan(fd);
-    sp::FrameReader reader(chan);
-    if (sp::write_frame(chan, static_cast<std::uint8_t>(shard::MsgType::Hello),
-                        hello) != 0) {
-      if (connect_failed("handshake write failed")) {
-        return kRemoteWorkerTransportFailure;
-      }
-      continue;
-    }
-
-    shard::WelcomeInfo welcome;
-    {
-      const std::uint64_t deadline =
-          sp::steady_now_ms() + opts.handshake_timeout_ms;
-      bool have_verdict = false;
-      bool ok = false;
-      while (!have_verdict) {
-        std::uint8_t type = 0;
-        std::string payload;
-        if (reader.next(type, payload)) {
-          const auto mt = static_cast<shard::MsgType>(type);
-          if (mt == shard::MsgType::Welcome) {
-            have_verdict = true;
-            ok = shard::decode_welcome(payload, welcome);
-            if (!ok) report->error = "malformed welcome";
-          } else if (mt == shard::MsgType::Reject) {
-            // "no_free_slot" is a race, not a verdict: the coordinator has
-            // not yet noticed our previous incarnation's death. Back off and
-            // retry. Every other reason (wrong campaign, budget spent,
-            // campaign stopping) is authoritative.
-            if (payload == "no_free_slot") {
-              have_verdict = false;
-              report->error = "rejected: " + payload;
-              break;
-            }
-            report->error = "rejected: " + payload;
-            return kRemoteWorkerTransportFailure;
-          }
-          continue;  // anything else pre-welcome is ignored
-        }
-        if (reader.corrupt() || cancelled() ||
-            sp::steady_now_ms() >= deadline) {
-          break;
-        }
-        if (poll_readable(chan.poll_fd(), 100) < 0) break;
-        int err = 0;
-        const auto fs = reader.feed(err);
-        if (fs == sp::FrameReader::FeedStatus::Eof ||
-            fs == sp::FrameReader::FeedStatus::Error) {
-          break;
-        }
-      }
-      if (cancelled()) {
-        report->error = "cancelled";
-        return kRemoteWorkerOk;
-      }
-      if (!have_verdict || !ok) {
-        if (connect_failed(report->error.empty() ? "handshake timed out"
-                                                 : report->error)) {
-          return kRemoteWorkerTransportFailure;
-        }
-        continue;
-      }
-    }
-    consecutive_failures = 0;
-    ++report->connections;
-
-    // ---- admitted: heartbeats, replay, then serve --------------------
-    std::mutex write_mu;
-    auto send = [&](shard::MsgType type, std::string_view payload) {
-      std::lock_guard<std::mutex> lk(write_mu);
-      return sp::write_frame(chan, static_cast<std::uint8_t>(type), payload);
-    };
-
-    std::atomic<bool> stop{false};
-    std::mutex hb_mu;
-    std::condition_variable hb_cv;
-    std::thread heartbeat;
-    if (welcome.heartbeat_period_ms > 0) {
-      heartbeat = std::thread([&] {
-        const auto period =
-            std::chrono::milliseconds(welcome.heartbeat_period_ms);
-        std::unique_lock<std::mutex> lk(hb_mu);
-        auto next = std::chrono::steady_clock::now() + period;
-        while (!hb_cv.wait_until(lk, next, [&] {
-          return stop.load(std::memory_order_relaxed);
-        })) {
-          if (send(shard::MsgType::Heartbeat, "") != 0) break;
-          next = std::chrono::steady_clock::now() + period;
-        }
-      });
-    }
-    auto stop_heartbeat = [&] {
-      {
-        std::lock_guard<std::mutex> lk(hb_mu);
-        stop.store(true, std::memory_order_relaxed);
-      }
-      hb_cv.notify_all();
-      if (heartbeat.joinable()) heartbeat.join();
-    };
-
-    ConnEnd end = ConnEnd::Lost;
-
-    // Replay first: anything this process already computed but the
-    // coordinator may not have seen (the link died mid-stream). Duplicates
-    // are dropped by the coordinator's idempotent commit.
-    bool replay_ok = true;
-    for (const std::string& record : replay) {
-      if (send(shard::MsgType::FaultResult, record) != 0) {
-        replay_ok = false;
-        break;
-      }
-      ++report->replayed_records;
-    }
-
-    if (replay_ok) {
-      // Blocks until a frame arrives; false = link gone.
-      auto next_frame = [&](std::uint8_t& type, std::string& payload) {
-        while (true) {
-          if (reader.next(type, payload)) return true;
-          if (reader.corrupt() || cancelled()) return false;
-          if (poll_readable(chan.poll_fd(), 200) < 0) return false;
-          int err = 0;
-          const auto fs = reader.feed(err);
-          if (fs == sp::FrameReader::FeedStatus::Eof ||
-              fs == sp::FrameReader::FeedStatus::Error) {
-            return false;
-          }
-        }
-      };
-      // Between-faults peek: a buffered Shutdown and a dead link are
-      // different verdicts — Shutdown ends the campaign cleanly, a dead
-      // link must put us back on the reconnect path with the replay log
-      // intact (mistaking EOF for Shutdown strands the coordinator's
-      // rejoin window, which matters most when this is the only worker).
-      enum class Peek : std::uint8_t { None, Shutdown, Lost };
-      auto peek_control = [&]() -> Peek {
-        while (true) {
-          std::uint8_t type = 0;
-          std::string payload;
-          if (reader.next(type, payload)) {
-            if (static_cast<shard::MsgType>(type) ==
-                shard::MsgType::Shutdown) {
-              return Peek::Shutdown;
-            }
-            continue;
-          }
-          if (reader.corrupt()) return Peek::Lost;
-          if (poll_readable(chan.poll_fd(), 0) <= 0) return Peek::None;
-          int err = 0;
-          const auto fs = reader.feed(err);
-          if (fs == sp::FrameReader::FeedStatus::Eof ||
-              fs == sp::FrameReader::FeedStatus::Error) {
-            return Peek::Lost;
-          }
-          if (fs == sp::FrameReader::FeedStatus::WouldBlock) {
-            return Peek::None;
-          }
-        }
-      };
-
-      bool serving = true;
-      std::vector<std::size_t> group;
-      while (serving) {
-        std::uint8_t type = 0;
-        std::string payload;
-        if (!next_frame(type, payload)) {
-          end = cancelled() ? ConnEnd::Cancelled : ConnEnd::Lost;
-          break;
-        }
-        switch (static_cast<shard::MsgType>(type)) {
-          case shard::MsgType::Shutdown:
-            end = ConnEnd::Shutdown;
-            serving = false;
-            break;
-          case shard::MsgType::Assign: {
-            if (!shard::decode_assign(payload, group)) {
-              end = ConnEnd::Lost;  // protocol violation: die visibly
-              serving = false;
-              break;
-            }
-            for (const std::size_t k : group) {
-              if (cancelled()) {
-                end = ConnEnd::Cancelled;
-                serving = false;
-                break;
-              }
-              const Peek peeked = peek_control();
-              if (peeked != Peek::None) {
-                end = peeked == Peek::Shutdown ? ConnEnd::Shutdown
-                                               : ConnEnd::Lost;
-                serving = false;
-                break;
-              }
-              if (send(shard::MsgType::FaultStart,
-                       shard::encode_fault_start(k)) != 0) {
-                end = ConnEnd::Lost;
-                serving = false;
-                break;
-              }
-              // Chaos: die exactly where a crashing engine would — fault
-              // announced, result not yet produced.
-              if (k == opts.chaos_abort_fault ||
-                  shard::chaos_should_kill(opts.chaos_kill_seed, k,
-                                           welcome.incarnation,
-                                           opts.chaos_kill_permille)) {
-                if (opts.chaos_die_hard) ::raise(SIGKILL);
-                end = ConnEnd::ChaosKilled;
-                serving = false;
-                break;
-              }
-              const std::size_t one[] = {k};
-              const std::vector<MotBatchItem> out =
-                  runner.run(test, good, faults, one);
-              ++report->faults_simulated;
-              const std::string record =
-                  encode_journal_record(out[0], run_baseline);
-              replay.push_back(record);
-              if (send(shard::MsgType::FaultResult, record) != 0) {
-                end = ConnEnd::Lost;
-                serving = false;
-                break;
-              }
-            }
-            if (serving && send(shard::MsgType::GroupDone, "") != 0) {
-              end = ConnEnd::Lost;
-              serving = false;
-            }
-            break;
-          }
-          default:
-            break;  // coordinator never sends other types mid-serve; ignore
-        }
-      }
-    }
-
-    stop_heartbeat();
+    const std::size_t joined = report->connections;
+    const SessionEnd end = session.serve(chan, replay, keep, *report, why, cancel);
     chan.close();
+    if (report->connections > joined) consecutive_failures = 0;
 
     switch (end) {
-      case ConnEnd::Shutdown:
+      case SessionEnd::Shutdown:
         report->clean_shutdown = true;
         return kRemoteWorkerOk;
-      case ConnEnd::Cancelled:
+      case SessionEnd::Cancelled:
         report->error = "cancelled";
         return kRemoteWorkerOk;
-      case ConnEnd::ChaosKilled:
+      case SessionEnd::ChaosKilled:
         // Emulated SIGKILL: the "process" loses everything it knew and a
         // fresh one reconnects. The coordinator sees an abrupt disconnect
         // followed by a new incarnation — indistinguishable from the real
@@ -365,12 +271,11 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
         replay.clear();
         ++report->chaos_kills;
         continue;
-      case ConnEnd::Rejected:
+      case SessionEnd::Rejected:
+        report->error = why;
         return kRemoteWorkerTransportFailure;
-      case ConnEnd::Lost:
-        if (connect_failed("connection lost")) {
-          return kRemoteWorkerTransportFailure;
-        }
+      case SessionEnd::Lost:
+        if (connect_failed(why)) return kRemoteWorkerTransportFailure;
         continue;
     }
   }

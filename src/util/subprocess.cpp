@@ -1,6 +1,7 @@
 #include "util/subprocess.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -145,6 +146,28 @@ bool FrameReader::next(std::uint8_t& type, std::string& payload) {
   payload.assign(buf_, kFrameHeaderBytes, len);
   buf_.erase(0, total);
   return true;
+}
+
+ReadStatus read_frame(FrameReader& reader, int timeout_ms, std::uint8_t& type,
+                      std::string& payload) {
+  while (true) {
+    if (reader.next(type, payload)) return ReadStatus::Frame;
+    if (reader.corrupt() || reader.fd() < 0) return ReadStatus::Lost;
+    struct pollfd p = {reader.fd(), POLLIN, 0};
+    const int r = ::poll(&p, 1, timeout_ms);
+    if (r < 0 && errno != EINTR) return ReadStatus::Lost;
+    if (r <= 0) return ReadStatus::Idle;
+    int err = 0;
+    switch (reader.feed(err)) {
+      case FrameReader::FeedStatus::Data:
+        continue;
+      case FrameReader::FeedStatus::WouldBlock:
+        return ReadStatus::Idle;
+      case FrameReader::FeedStatus::Eof:
+      case FrameReader::FeedStatus::Error:
+        return ReadStatus::Lost;
+    }
+  }
 }
 
 int spawn(const std::function<int(int command_fd, int result_fd)>& child_main,

@@ -7,10 +7,8 @@
 // kept free of any fault-simulation knowledge so it is testable on its own:
 //
 //  * spawn()             fork a child wired to the parent by two pipes
-//                        (commands down, results up), with the child ends of
-//                        every *other* worker's pipes closed so one worker
-//                        holding a sibling's descriptors cannot delay that
-//                        sibling's EOF-based death detection;
+//                        (commands down, results up), optionally closing
+//                        given descriptors in the child first;
 //  * frame protocol      length-prefixed frames (1-byte type, 4-byte
 //                        little-endian payload length, payload) — a torn or
 //                        short frame is detectable, never silently merged
@@ -115,6 +113,20 @@ class FrameReader {
   std::string buf_;
   bool corrupt_ = false;
 };
+
+/// What read_frame found.
+enum class ReadStatus : std::uint8_t {
+  Frame,  ///< a complete frame was extracted
+  Idle,   ///< no complete frame arrived within the timeout
+  Lost,   ///< EOF, read error, closed channel, or a corrupt stream
+};
+
+/// Extracts the next complete frame from `reader`, polling its channel up
+/// to `timeout_ms` for more bytes (0 = only what is readable now). Works on
+/// blocking and non-blocking channels alike. An interrupted poll (EINTR)
+/// reports Idle so the caller can re-check its stop conditions.
+ReadStatus read_frame(FrameReader& reader, int timeout_ms, std::uint8_t& type,
+                      std::string& payload);
 
 /// Forks a child that runs `child_main(command_fd, result_fd)` and _exits
 /// with its return value — the child never returns into the caller's stack
