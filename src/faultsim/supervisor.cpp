@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cerrno>
 #include <condition_variable>
 #include <deque>
@@ -28,6 +29,9 @@ namespace sp = subprocess;
 namespace {
 
 constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
+
+/// How long a new TCP connection has to present its Hello.
+constexpr std::uint64_t kHandshakeMs = 5000;
 
 /// Everything a forked worker needs. All of it lives in the coordinator's
 /// address space and reaches the child through fork's copy-on-write pages —
@@ -210,14 +214,15 @@ int worker_main(int cmd_fd, int res_fd, const WorkerContext& ctx) {
   return 0;
 }
 
-/// Coordinator-side view of one worker slot. Local mode fills `child` (a
-/// forked process reached over pipes); remote mode fills `chan` (a TCP
-/// connection that passed the handshake). Everything else — assignment,
-/// outstanding-fault accounting, liveness timestamps, incarnation fencing —
-/// is transport-agnostic.
+/// Coordinator-side view of one worker slot. Every worker sits behind a
+/// ByteChannel: a forked worker's pipe pair, or a TCP connection that passed
+/// the handshake. A forked worker also has a pid, kept only for SIGKILL and
+/// waitpid. Everything else —
+/// assignment, outstanding-fault accounting, liveness timestamps,
+/// incarnation fencing — is transport-agnostic.
 struct Slot {
-  sp::ChildHandles child;
-  std::unique_ptr<netio::ByteChannel> chan;  // remote transport (null = pipe)
+  pid_t pid = -1;
+  std::unique_ptr<netio::ByteChannel> chan;
   std::unique_ptr<sp::FrameReader> reader;
   bool alive = false;
   std::size_t incarnation = 0;  // lives started on this slot so far
@@ -236,10 +241,20 @@ struct Slot {
 /// A TCP connection that has been accepted but not yet welcomed into a
 /// slot — it has until `deadline_ms` to present a valid Hello.
 struct PendingConn {
-  std::unique_ptr<netio::SocketChannel> chan;
+  std::unique_ptr<netio::ByteChannel> chan;
   std::unique_ptr<sp::FrameReader> reader;
   std::uint64_t deadline_ms = 0;
 };
+
+/// Waits for a forked worker, SIGKILLing it first when `kill`. Returns the
+/// wait status and clears `pid`.
+int reap(pid_t& pid, bool kill) {
+  if (kill) ::kill(pid, SIGKILL);
+  int status = 0;
+  sp::wait_blocking(pid, status);
+  pid = -1;
+  return status;
+}
 
 }  // namespace
 
@@ -362,6 +377,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   const Deadline campaign = Deadline::after_ms(options_.campaign_time_ms);
   std::unordered_map<std::size_t, std::size_t> attempts;
   std::vector<Slot> slots(workers);
+  std::vector<PendingConn> pending_conns;
   std::size_t restarts_used = 0;
   RetrySchedule restart_schedule(sup_.restart_backoff);
   bool stopping = false;
@@ -370,8 +386,10 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   // declared lost once this passes. Starts as the join window; every
   // disconnect pushes it out by the rejoin window.
   std::uint64_t fleet_deadline_ms = sp::steady_now_ms() + sup_.remote_join_ms;
-  std::vector<PendingConn> pending_conns;
   if (remote) sp::set_nonblocking(sup_.listen_fd);
+  const std::uint64_t heartbeat_period_ms =
+      sup_.heartbeat_ms == 0 ? 0
+                             : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
 
   WorkerContext base_ctx;
   base_ctx.circuit = circuit_;
@@ -385,10 +403,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   base_ctx.options.campaign_time_ms = 0;
   base_ctx.run_baseline = run_baseline_;
   if (journal != nullptr) base_ctx.meta = journal->meta();
-  base_ctx.heartbeat_period_ms =
-      sup_.heartbeat_ms == 0
-          ? 0
-          : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
+  base_ctx.heartbeat_period_ms = heartbeat_period_ms;
   base_ctx.chaos_kill_permille = sup_.chaos_kill_permille;
   base_ctx.chaos_kill_seed = sup_.chaos_kill_seed;
   base_ctx.chaos_abort_fault = sup_.chaos_abort_fault;
@@ -398,20 +413,23 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     WorkerContext ctx = base_ctx;
     ctx.shard_path = worker_shard_path(jpath, s);
     ctx.incarnation = slot.incarnation;
-    std::vector<int> close_in_child;
-    for (std::size_t o = 0; o < slots.size(); ++o) {
-      if (o == s || !slots[o].alive) continue;
-      close_in_child.push_back(slots[o].child.command_fd);
-      close_in_child.push_back(slots[o].child.result_fd);
-    }
+    sp::ChildHandles child;
     const int err = sp::spawn(
-        [ctx](int cmd_fd, int res_fd) {
+        [&](int cmd_fd, int res_fd) {
+          // Drop the inherited coordinator ends of every sibling: holding
+          // them would delay that sibling's EOF-based death detection.
+          for (Slot& other : slots) {
+            if (other.chan != nullptr) other.chan->close();
+          }
           return worker_main(cmd_fd, res_fd, ctx);
         },
-        close_in_child, slot.child);
+        {}, child);
     if (err != 0) return false;
-    sp::set_nonblocking(slot.child.result_fd);
-    slot.reader = std::make_unique<sp::FrameReader>(slot.child.result_fd);
+    sp::set_nonblocking(child.result_fd);
+    slot.pid = child.pid;
+    slot.chan = std::make_unique<netio::FdChannel>(child.result_fd,
+                                                   child.command_fd);
+    slot.reader = std::make_unique<sp::FrameReader>(*slot.chan);
     slot.alive = true;
     ++slot.incarnation;
     slot.group.clear();
@@ -423,27 +441,16 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     return true;
   };
 
-  auto close_slot_fds = [&](Slot& slot) {
+  auto hang_up = [&](Slot& slot) {
+    slot.alive = false;
     slot.reader.reset();  // before the channel it reads from
-    if (slot.chan != nullptr) {
-      slot.chan->close();
-      slot.chan.reset();
-    }
-    if (slot.child.command_fd >= 0) ::close(slot.child.command_fd);
-    if (slot.child.result_fd >= 0) ::close(slot.child.result_fd);
-    slot.child.command_fd = -1;
-    slot.child.result_fd = -1;
+    slot.chan.reset();
   };
 
-  /// One frame to a slot's worker, whichever transport it sits behind.
   auto slot_write = [&](Slot& slot, shard::MsgType type,
                         std::string_view payload) {
-    if (slot.chan != nullptr) {
-      return sp::write_frame(*slot.chan, static_cast<std::uint8_t>(type),
-                             payload);
-    }
-    return sp::write_frame(slot.child.command_fd,
-                           static_cast<std::uint8_t>(type), payload);
+    return sp::write_frame(*slot.chan, static_cast<std::uint8_t>(type),
+                           payload);
   };
 
   auto assign_group = [&](Slot& slot, std::vector<std::size_t> group) {
@@ -452,13 +459,9 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     slot.outstanding.insert(slot.group.begin(), slot.group.end());
     slot.in_flight = kNoFault;
     slot.group_assigned_ms = sp::steady_now_ms();
-    const int err = slot_write(slot, shard::MsgType::Assign,
-                               shard::encode_assign(slot.group));
-    if (err != 0) {
-      // The worker is dying or dead; the reap path below recovers the group.
-      return false;
-    }
-    return true;
+    // A failed write means the worker is dying or dead; the reap path
+    // recovers the group.
+    slot_write(slot, shard::MsgType::Assign, shard::encode_assign(slot.group));
   };
 
   /// Shared recovery path for every kind of worker death. `status_token`
@@ -466,17 +469,15 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   /// recorded against a fault this death poisons.
   auto handle_death = [&](std::size_t s, const std::string& status_token) {
     Slot& slot = slots[s];
-    slot.alive = false;
-    close_slot_fds(slot);
+    hang_up(slot);
     ++stats->worker_deaths;
 
     // Harvest the shard journal first: results the worker committed to disk
-    // but never got to stream are merged, not re-simulated. (Remote workers
-    // have no shard on this filesystem — their equivalent is the in-memory
-    // replay log they re-stream after reconnecting.)
-    const std::string shard_path = remote ? "" : worker_shard_path(jpath, s);
-    if (!shard_path.empty() && !slot.outstanding.empty() &&
-        journal != nullptr) {
+    // but never got to stream are merged, not re-simulated. (TCP workers
+    // write no shard here — their equivalent is the in-memory replay log
+    // they re-stream after reconnecting.)
+    const std::string shard_path = worker_shard_path(jpath, s);
+    if (!shard_path.empty() && !slot.outstanding.empty()) {
       std::string err;
       if (const auto shard_journal =
               CampaignJournal::open_resume(shard_path, journal->meta(), err)) {
@@ -545,21 +546,41 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     }
   };
 
+  /// Ends a worker that is still running. A forked worker is SIGKILLed and
+  /// reaped. There is no SIGKILL across a network: closing the connection
+  /// *is* the kill. It fences this incarnation off — its late frames land
+  /// on a closed socket — and the worker, if actually alive, rejoins as a
+  /// fresh incarnation through the handshake.
   auto kill_and_reap = [&](std::size_t s, const char* cause) {
     Slot& slot = slots[s];
-    if (slot.chan != nullptr) {
-      // No SIGKILL across a network. Closing the connection *is* the kill:
-      // it fences this incarnation off — its late frames land on a closed
-      // socket — and the worker, if actually alive, rejoins as a fresh
-      // incarnation through the handshake.
-      handle_death(s, std::string(cause) + "_fenced");
+    const std::string evidence =
+        slot.pid >= 0
+            ? sp::describe_wait_status(reap(slot.pid, /*kill=*/true))
+            : "fenced";
+    handle_death(s, std::string(cause) + "_" + evidence);
+  };
+
+  /// A worker is gone. During teardown that is the expected goodbye, and so
+  /// is a clean process exit with nothing outstanding; anything else is a
+  /// death — a vanished TCP worker too, even an idle one, so that the
+  /// rejoin window opens and the stats show it.
+  auto settle = [&](std::size_t s, bool clean, const std::string& cause) {
+    if (stopping || (clean && slots[s].outstanding.empty())) {
+      hang_up(slots[s]);
+    } else {
+      handle_death(s, cause);
+    }
+  };
+
+  /// A worker's stream ended (EOF, read error, corruption).
+  auto on_hangup = [&](std::size_t s) {
+    Slot& slot = slots[s];
+    if (slot.pid < 0) {
+      settle(s, false, "disconnect");
       return;
     }
-    ::kill(slot.child.pid, SIGKILL);
-    int status = 0;
-    sp::wait_blocking(slot.child.pid, status);
-    handle_death(s, std::string(cause) + "_" +
-                        sp::describe_wait_status(status));
+    const int status = reap(slot.pid, /*kill=*/false);
+    settle(s, sp::exited_cleanly(status), sp::describe_wait_status(status));
   };
 
   auto request_shutdown = [&](Slot& slot) {
@@ -568,10 +589,16 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     slot_write(slot, shard::MsgType::Shutdown, "");
   };
 
-  auto reject_conn = [&](PendingConn& pc, std::string_view reason) {
-    sp::write_frame(*pc.chan, static_cast<std::uint8_t>(shard::MsgType::Reject),
-                    reason);
-    pc.chan->close();
+  /// Turns a connection away: a Reject carrying `reason` (none when
+  /// empty), then a hang-up.
+  auto drop_conn = [&](PendingConn& pc, std::string_view reason) {
+    if (!reason.empty()) {
+      sp::write_frame(*pc.chan,
+                      static_cast<std::uint8_t>(shard::MsgType::Reject),
+                      reason);
+    }
+    pc.reader.reset();
+    pc.chan.reset();
   };
 
   /// Welcomes a handshaken connection into a worker slot. First lives of a
@@ -598,12 +625,12 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     if (chosen == kNoFault) {
       // Transient by design: the worker retries after backoff, by which
       // time the dead incarnation's EOF has usually been processed.
-      reject_conn(pc, "no_free_slot");
+      drop_conn(pc, "no_free_slot");
       return;
     }
     if (rejoin) {
       if (restarts_used >= sup_.max_worker_restarts) {
-        reject_conn(pc, "restart_budget_spent");
+        drop_conn(pc, "restart_budget_spent");
         return;
       }
       ++restarts_used;
@@ -613,17 +640,15 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     shard::WelcomeInfo info;
     info.slot = chosen;
     info.incarnation = slot.incarnation;
-    info.heartbeat_period_ms = sup_.heartbeat_ms == 0
-                                   ? 0
-                                   : std::max<std::uint64_t>(
-                                         sup_.heartbeat_ms / 4, 20);
+    info.heartbeat_period_ms = heartbeat_period_ms;
     if (sp::write_frame(*pc.chan,
                         static_cast<std::uint8_t>(shard::MsgType::Welcome),
                         shard::encode_welcome(info)) != 0) {
-      pc.chan->close();
+      drop_conn(pc, "");
       return;
     }
     ++slot.incarnation;
+    slot.pid = -1;
     slot.chan = std::move(pc.chan);
     slot.reader = std::move(pc.reader);
     slot.alive = true;
@@ -652,55 +677,37 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       PendingConn pc;
       pc.reader = std::make_unique<sp::FrameReader>(*ch);
       pc.chan = std::move(ch);
-      pc.deadline_ms = sp::steady_now_ms() + 5000;
+      pc.deadline_ms = sp::steady_now_ms() + kHandshakeMs;
       pending_conns.push_back(std::move(pc));
     }
     for (auto it = pending_conns.begin(); it != pending_conns.end();) {
       PendingConn& pc = *it;
-      bool resolved = false;
-      while (!resolved) {
-        std::uint8_t type = 0;
-        std::string payload;
-        if (pc.reader->next(type, payload)) {
-          if (static_cast<shard::MsgType>(type) != shard::MsgType::Hello) {
-            continue;  // pre-Hello noise; the deadline bounds patience
-          }
-          JournalMeta hello_meta;
-          if (!shard::decode_hello(payload, hello_meta) ||
-              !(hello_meta == expected_meta)) {
-            reject_conn(pc, "campaign_mismatch");
-          } else if (stopping) {
-            reject_conn(pc, "stopping");
-          } else {
-            admit_conn(pc);
-          }
-          resolved = true;
-          break;
-        }
-        if (pc.reader->corrupt()) {
-          pc.chan->close();
-          resolved = true;
-          break;
-        }
-        int err = 0;
-        switch (pc.reader->feed(err)) {
-          case sp::FrameReader::FeedStatus::Data:
-            continue;
-          case sp::FrameReader::FeedStatus::WouldBlock:
-            break;
-          case sp::FrameReader::FeedStatus::Eof:
-          case sp::FrameReader::FeedStatus::Error:
-            pc.chan->close();
-            resolved = true;
-            break;
-        }
-        if (!resolved) break;  // WouldBlock: try again next tick
+      std::uint8_t type = 0;
+      std::string payload;
+      sp::ReadStatus r = sp::ReadStatus::Frame;
+      // Pre-Hello noise is skipped; the deadline bounds patience.
+      while ((r = sp::read_frame(*pc.reader, 0, type, payload)) ==
+                 sp::ReadStatus::Frame &&
+             static_cast<shard::MsgType>(type) != shard::MsgType::Hello) {
       }
-      if (!resolved && sp::steady_now_ms() >= pc.deadline_ms) {
-        pc.chan->close();  // never said Hello; not a worker
-        resolved = true;
+      if (r == sp::ReadStatus::Frame) {
+        JournalMeta hello_meta;
+        if (!shard::decode_hello(payload, hello_meta) ||
+            !(hello_meta == expected_meta)) {
+          drop_conn(pc, "campaign_mismatch");
+        } else if (stopping) {
+          drop_conn(pc, "stopping");
+        } else {
+          admit_conn(pc);
+        }
+      } else if (r == sp::ReadStatus::Lost ||
+                 sp::steady_now_ms() >= pc.deadline_ms) {
+        drop_conn(pc, "");  // gone, or never said Hello: not a worker
+      } else {
+        ++it;
+        continue;
       }
-      it = resolved ? pending_conns.erase(it) : std::next(it);
+      it = pending_conns.erase(it);
     }
   };
 
@@ -708,55 +715,42 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   /// false when the stream ended (EOF/error/corruption) — worker death.
   auto drain_frames = [&](std::size_t s) {
     Slot& slot = slots[s];
+    std::uint8_t type = 0;
+    std::string payload;
     while (true) {
-      std::uint8_t type = 0;
-      std::string payload;
-      while (slot.reader->next(type, payload)) {
-        slot.last_frame_ms = sp::steady_now_ms();
-        switch (static_cast<shard::MsgType>(type)) {
-          case shard::MsgType::FaultStart: {
-            std::size_t k = kNoFault;
-            if (shard::decode_fault_start(payload, k)) slot.in_flight = k;
-            break;
-          }
-          case shard::MsgType::FaultResult: {
-            MotBatchItem item;
-            if (decode_journal_record(payload, run_baseline_, item)) {
-              commit(item);
-              slot.outstanding.erase(item.fault_index);
-              if (slot.in_flight == item.fault_index) slot.in_flight = kNoFault;
-            }
-            break;
-          }
-          case shard::MsgType::GroupDone:
-            // Defensive: anything the worker skipped goes back to the pool.
-            if (!slot.outstanding.empty()) {
-              std::vector<std::size_t> leftover;
-              for (const std::size_t k : slot.group) {
-                if (slot.outstanding.count(k) != 0) leftover.push_back(k);
-              }
-              queue.push_front(std::move(leftover));
-            }
-            slot.group.clear();
-            slot.outstanding.clear();
-            slot.in_flight = kNoFault;
-            break;
-          case shard::MsgType::Heartbeat:
-            break;
-          default:
-            break;
+      const sp::ReadStatus r = sp::read_frame(*slot.reader, 0, type, payload);
+      if (r != sp::ReadStatus::Frame) return r == sp::ReadStatus::Idle;
+      slot.last_frame_ms = sp::steady_now_ms();
+      switch (static_cast<shard::MsgType>(type)) {
+        case shard::MsgType::FaultStart: {
+          std::size_t k = kNoFault;
+          if (shard::decode_fault_start(payload, k)) slot.in_flight = k;
+          break;
         }
-      }
-      if (slot.reader->corrupt()) return false;
-      int err = 0;
-      switch (slot.reader->feed(err)) {
-        case sp::FrameReader::FeedStatus::Data:
-          continue;
-        case sp::FrameReader::FeedStatus::WouldBlock:
-          return true;
-        case sp::FrameReader::FeedStatus::Eof:
-        case sp::FrameReader::FeedStatus::Error:
-          return false;
+        case shard::MsgType::FaultResult: {
+          MotBatchItem item;
+          if (decode_journal_record(payload, run_baseline_, item)) {
+            commit(item);
+            slot.outstanding.erase(item.fault_index);
+            if (slot.in_flight == item.fault_index) slot.in_flight = kNoFault;
+          }
+          break;
+        }
+        case shard::MsgType::GroupDone:
+          // Defensive: anything the worker skipped goes back to the pool.
+          if (!slot.outstanding.empty()) {
+            std::vector<std::size_t> leftover;
+            for (const std::size_t k : slot.group) {
+              if (slot.outstanding.count(k) != 0) leftover.push_back(k);
+            }
+            queue.push_front(std::move(leftover));
+          }
+          slot.group.clear();
+          slot.outstanding.clear();
+          slot.in_flight = kNoFault;
+          break;
+        default:
+          break;  // Heartbeat: the timestamp above is all it carries
       }
     }
   };
@@ -765,9 +759,8 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   // idle processes would only dilute the kill/restart accounting. Remote
   // mode forks nothing: slots fill as workers connect and handshake.
   if (!remote) {
-    const std::size_t initial =
-        std::min<std::size_t>(workers, std::max<std::size_t>(queue.size(), 1));
-    for (std::size_t s = 0; s < initial && !queue.empty(); ++s) {
+    const std::size_t initial = std::min(workers, queue.size());
+    for (std::size_t s = 0; s < initial; ++s) {
       if (!spawn_slot(s)) continue;
       assign_group(slots[s], std::move(queue.front()));
       queue.pop_front();
@@ -813,19 +806,17 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       if (!any_live || now >= stop_deadline_ms) break;
     }
 
-    // Respawns that have served their backoff (local), then admissions
-    // (remote), then stealing — so a worker that joined this very tick can
-    // claim work this very tick.
+    // Respawns that have served their backoff, then admissions, then
+    // stealing — so a worker that joined this very tick can claim work this
+    // very tick.
     if (!stopping) {
-      if (!remote) {
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          if (!slots[s].respawn_pending || now < slots[s].respawn_at_ms) {
-            continue;
-          }
-          slots[s].respawn_pending = false;
-          if (queue.empty() && !any_busy) continue;  // nothing left to do
-          if (spawn_slot(s)) ++stats->worker_restarts;
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        if (!slots[s].respawn_pending || now < slots[s].respawn_at_ms) {
+          continue;
         }
+        slots[s].respawn_pending = false;
+        if (queue.empty() && !any_busy) continue;  // nothing left to do
+        if (spawn_slot(s)) ++stats->worker_restarts;
       }
     }
     if (remote) serve_handshakes();
@@ -847,56 +838,24 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       fds.push_back({slots[s].reader->fd(), POLLIN, 0});
       fd_slot.push_back(s);
     }
-    if (!fds.empty()) {
-      const int r = ::poll(fds.data(), fds.size(), 20);
-      if (r < 0 && errno != EINTR) break;  // coordinator fd table is broken
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    const int r = ::poll(fds.data(), fds.size(), fds.empty() ? 5 : 20);
+    if (r < 0 && errno != EINTR) break;  // coordinator fd table is broken
 
     // Frames, then reaping: a worker that exited cleanly after streaming
     // its last result must have that result committed before the reap.
-    for (std::size_t f = 0; f < fds.size(); ++f) {
+    for (std::size_t f = 0; f < fd_slot.size(); ++f) {
       const std::size_t s = fd_slot[f];
       if (!slots[s].alive) continue;
       if ((fds[f].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (!drain_frames(s)) {
-        if (slots[s].chan != nullptr) {
-          // Remote disconnect. During teardown it is the expected goodbye;
-          // mid-campaign it is a death (even an idle worker's vanishing
-          // matters: the rejoin window must open and the stats must show it).
-          if (stopping) {
-            slots[s].alive = false;
-            close_slot_fds(slots[s]);
-          } else {
-            handle_death(s, "disconnect");
-          }
-          continue;
-        }
-        int status = 0;
-        sp::wait_blocking(slots[s].child.pid, status);
-        if (stopping || (sp::exited_cleanly(status) &&
-                         slots[s].outstanding.empty())) {
-          // Expected exit (shutdown or post-work EOF): not a death.
-          slots[s].alive = false;
-          close_slot_fds(slots[s]);
-        } else {
-          handle_death(s, sp::describe_wait_status(status));
-        }
-      }
+      if (!drain_frames(s)) on_hangup(s);
     }
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (!slots[s].alive || slots[s].chan != nullptr) continue;
+      if (!slots[s].alive || slots[s].pid < 0) continue;
       int status = 0;
-      if (sp::try_wait(slots[s].child.pid, status) == 1) {
+      if (sp::try_wait(slots[s].pid, status) == 1) {
+        slots[s].pid = -1;
         drain_frames(s);  // final pipe contents survive the process
-        if (stopping || (sp::exited_cleanly(status) &&
-                         slots[s].outstanding.empty())) {
-          slots[s].alive = false;
-          close_slot_fds(slots[s]);
-        } else {
-          handle_death(s, sp::describe_wait_status(status));
-        }
+        settle(s, sp::exited_cleanly(status), sp::describe_wait_status(status));
       }
     }
 
@@ -918,7 +877,9 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   }
 
   // Teardown: ask politely, then insist. Every result already streamed is
-  // committed; workers that ignore Shutdown past the grace are SIGKILLed.
+  // committed; workers that ignore Shutdown past the grace are SIGKILLed
+  // (forked) or hung up on (TCP). A TCP worker acknowledges Shutdown by
+  // closing its end.
   for (Slot& slot : slots) request_shutdown(slot);
   const std::uint64_t teardown_deadline =
       sp::steady_now_ms() + sup_.shutdown_grace_ms;
@@ -927,46 +888,23 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     for (std::size_t s = 0; s < slots.size(); ++s) {
       Slot& slot = slots[s];
       if (!slot.alive) continue;
-      if (slot.chan != nullptr) {
-        // A remote worker acknowledges Shutdown by closing its end; there
-        // is no process to reap here.
-        if (!drain_frames(s)) {
-          slot.alive = false;
-          close_slot_fds(slot);
-        } else {
-          any_live = true;
-        }
-        continue;
-      }
-      if (slot.reader != nullptr && !drain_frames(s)) {
-        int status = 0;
-        sp::wait_blocking(slot.child.pid, status);
-        slot.alive = false;
-        close_slot_fds(slot);
-        continue;
-      }
       int status = 0;
-      if (sp::try_wait(slot.child.pid, status) == 1) {
-        slot.alive = false;
-        close_slot_fds(slot);
-        continue;
+      if (!drain_frames(s)) {
+        if (slot.pid >= 0) reap(slot.pid, /*kill=*/false);
+        hang_up(slot);
+      } else if (slot.pid >= 0 && sp::try_wait(slot.pid, status) == 1) {
+        slot.pid = -1;
+        hang_up(slot);
+      } else {
+        any_live = true;
       }
-      any_live = true;
     }
     if (!any_live) break;
     if (sp::steady_now_ms() >= teardown_deadline) {
       for (Slot& slot : slots) {
         if (!slot.alive) continue;
-        if (slot.chan != nullptr) {
-          slot.alive = false;
-          close_slot_fds(slot);  // past the grace: hang up on the straggler
-          continue;
-        }
-        ::kill(slot.child.pid, SIGKILL);
-        int status = 0;
-        sp::wait_blocking(slot.child.pid, status);
-        slot.alive = false;
-        close_slot_fds(slot);
+        if (slot.pid >= 0) reap(slot.pid, /*kill=*/true);
+        hang_up(slot);
       }
       break;
     }
@@ -976,7 +914,8 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   // Connections that never finished their handshake get a door shut, not a
   // dangling socket. The listening fd stays open — the caller owns it.
   for (PendingConn& pc : pending_conns) {
-    if (pc.chan != nullptr) pc.chan->close();
+    pc.reader.reset();
+    pc.chan.reset();
   }
   pending_conns.clear();
 
