@@ -1,20 +1,30 @@
 // Shard protocol of the multi-process campaign runner.
 //
-// The supervisor (supervisor.hpp) and its forked workers speak a small
-// message set over the length-prefixed frames of util/subprocess.hpp. This
-// header pins down that protocol — message types, payload encodings, and
-// the fault-group planner — separately from the supervision policy so the
-// wire format is unit-testable without forking anything.
+// The supervisor (supervisor.hpp) and its workers — forked over a pipe
+// pair or connected over TCP — speak one small message set over the
+// length-prefixed frames of util/subprocess.hpp. This header pins down that
+// protocol — message types, payload encodings, and the fault-group planner
+// — separately from the supervision policy so the wire format is
+// unit-testable without forking anything.
 //
 // Payloads are plain text. A FaultResult payload is *exactly* the journal-v2
 // record line of the fault (encode_journal_record / decode_journal_record,
-// checkpoint.hpp): the bytes a worker streams up the pipe are the bytes it
-// appended to its own journal shard, so the coordinator's merge, the shard
-// files, and the single-process journal all agree by construction — there
-// is one serialization of a fault outcome in the system, not three.
+// checkpoint.hpp): the bytes a forked worker streams up the pipe are the
+// bytes it appended to its own journal shard, so the coordinator's merge,
+// the shard files, and the single-process journal all agree by
+// construction — there is one serialization of a fault outcome in the
+// system, not three.
 //
-// Message flow:
+// Message flow — a three-message handshake turns a fresh channel (a forked
+// child's pipes or an accepted TCP connection) into a worker slot, then
+// the worker serves fault groups:
 //
+//   worker -> coordinator    Hello(meta)              campaign identity
+//   coordinator -> worker    Welcome("slot inc hb")   admitted: slot index,
+//                                                     incarnation (fencing),
+//                                                     heartbeat period (ms)
+//                            Reject(reason)           wrong campaign / no
+//                                                     slot / budget spent
 //   coordinator -> worker    Assign("k1 k2 ... kn")   one fault group
 //                            Shutdown("")             finish up and exit
 //   worker -> coordinator    FaultStart("k")          about to simulate k
@@ -27,24 +37,13 @@
 // death to that fault alone (attempt accounting, poison after K attempts),
 // and requeues the rest of the group onto survivors without penalty.
 //
-// Multi-host extension (TCP transport, faultsim/remote.hpp): the same
-// frames, plus a three-message handshake that turns an anonymous TCP
-// connection into a worker slot:
-//
-//   worker -> coordinator    Hello(meta)              campaign identity
-//   coordinator -> worker    Welcome("slot inc hb")   admitted: slot index,
-//                                                     incarnation (fencing),
-//                                                     heartbeat period (ms)
-//                            Reject(reason)           wrong campaign / no
-//                                                     slot / budget spent
-//
 // Hello carries the full JournalMeta of the campaign the worker built from
 // its own CLI flags; the coordinator admits only byte-equal metas, so a
 // worker configured for a different circuit, sequence, or option set can
 // never contribute records to this campaign. The Welcome incarnation is the
 // coordinator's fencing token: the coordinator processes frames only from
-// the connection it most recently welcomed into a slot, so a fenced-off
-// zombie's late frames land on a closed socket, never in the merge.
+// the channel it most recently welcomed into a slot, so a fenced-off
+// zombie's late frames land on a closed channel, never in the merge.
 #pragma once
 
 #include <cstdint>

@@ -6,18 +6,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cerrno>
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "faultsim/checkpoint.hpp"
+#include "faultsim/remote.hpp"
 #include "faultsim/shard.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
@@ -30,194 +28,12 @@ namespace {
 
 constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 
-/// How long a new TCP connection has to present its Hello.
+/// How long a new channel has to present its Hello.
 constexpr std::uint64_t kHandshakeMs = 5000;
 
-/// Everything a forked worker needs. All of it lives in the coordinator's
-/// address space and reaches the child through fork's copy-on-write pages —
-/// nothing (circuit, test, options) is ever serialized.
-struct WorkerContext {
-  const Circuit* circuit = nullptr;
-  const TestSequence* test = nullptr;
-  const SeqTrace* good = nullptr;
-  const std::vector<Fault>* faults = nullptr;
-  MotOptions options;  // num_threads/campaign_time_ms already zeroed
-  bool run_baseline = false;
-  JournalMeta meta;
-  std::string shard_path;  // "" = no shard journaling
-  std::uint64_t heartbeat_period_ms = 0;
-  std::size_t incarnation = 0;
-  std::uint64_t chaos_kill_permille = 0;
-  std::uint64_t chaos_kill_seed = 0;
-  std::size_t chaos_abort_fault = kNoFault;
-};
-
-int poll_one(int fd, int timeout_ms) {
-  struct pollfd p = {fd, POLLIN, 0};
-  while (true) {
-    const int r = ::poll(&p, 1, timeout_ms);
-    if (r >= 0) return r;
-    if (errno == EINTR) return 0;  // let the caller re-check stop conditions
-    return -1;
-  }
-}
-
-/// The worker process body: serve Assign frames until Shutdown/EOF.
-/// Runs after fork; must never return into the forked copy of the
-/// coordinator's stack (spawn() _exits with the return value).
-int worker_main(int cmd_fd, int res_fd, const WorkerContext& ctx) {
-  // The coordinator owns terminal signals; a Ctrl-C must stop the campaign
-  // through the coordinator's clean-shutdown path, not kill workers ahead
-  // of their final results. SIGTERM drops any handler inherited from the
-  // CLI (whose CancelToken means nothing here). SIGPIPE on a dead
-  // coordinator becomes EPIPE, which exits the loop below.
-  ::signal(SIGINT, SIG_IGN);
-  ::signal(SIGTERM, SIG_DFL);
-  ::signal(SIGPIPE, SIG_IGN);
-
-  MotOptions opt = ctx.options;
-  const MotBatchRunner runner(*ctx.circuit, opt, ctx.run_baseline);
-
-  std::unique_ptr<CampaignJournal> shard;
-  if (!ctx.shard_path.empty()) {
-    // Shard journaling is belt-and-braces on top of the pipe; a worker that
-    // cannot create its shard still contributes via frames alone.
-    std::string err;
-    shard = CampaignJournal::create(ctx.shard_path, ctx.meta, err);
-  }
-
-  std::mutex write_mu;
-  auto send = [&](shard::MsgType type, std::string_view payload) {
-    std::lock_guard<std::mutex> lk(write_mu);
-    return sp::write_frame(res_fd, static_cast<std::uint8_t>(type), payload);
-  };
-
-  std::atomic<bool> stop{false};
-  std::mutex hb_mu;
-  std::condition_variable hb_cv;
-  std::thread heartbeat;
-  if (ctx.heartbeat_period_ms > 0) {
-    // Sleeps until the next beat is due instead of polling a short tick:
-    // zero wakeups between beats, and shutdown interrupts the wait via the
-    // condition variable rather than waiting out the period.
-    heartbeat = std::thread([&] {
-      const auto period = std::chrono::milliseconds(ctx.heartbeat_period_ms);
-      std::unique_lock<std::mutex> lk(hb_mu);
-      auto next = std::chrono::steady_clock::now() + period;
-      while (!hb_cv.wait_until(lk, next, [&] {
-        return stop.load(std::memory_order_relaxed);
-      })) {
-        if (send(shard::MsgType::Heartbeat, "") != 0) break;
-        next = std::chrono::steady_clock::now() + period;
-      }
-    });
-  }
-
-  sp::FrameReader reader(cmd_fd);
-  // Blocks until a frame arrives (or EOF/corruption). Returns false when
-  // the worker should exit.
-  auto next_frame = [&](std::uint8_t& type, std::string& payload) {
-    while (true) {
-      if (reader.next(type, payload)) return true;
-      if (reader.corrupt()) return false;
-      if (poll_one(cmd_fd, -1) < 0) return false;
-      int err = 0;
-      const auto fs = reader.feed(err);
-      if (fs == sp::FrameReader::FeedStatus::Eof ||
-          fs == sp::FrameReader::FeedStatus::Error) {
-        return false;
-      }
-    }
-  };
-  // Non-blocking peek between faults: true when a Shutdown is pending.
-  auto shutdown_pending = [&] {
-    while (true) {
-      std::uint8_t type = 0;
-      std::string payload;
-      if (reader.next(type, payload)) {
-        if (static_cast<shard::MsgType>(type) == shard::MsgType::Shutdown) {
-          return true;
-        }
-        continue;  // unexpected mid-group frame; ignore
-      }
-      if (reader.corrupt()) return true;
-      if (poll_one(cmd_fd, 0) <= 0) return false;
-      int err = 0;
-      const auto fs = reader.feed(err);
-      if (fs == sp::FrameReader::FeedStatus::Eof ||
-          fs == sp::FrameReader::FeedStatus::Error) {
-        return true;
-      }
-      if (fs == sp::FrameReader::FeedStatus::WouldBlock) return false;
-    }
-  };
-
-  bool exiting = false;
-  std::vector<std::size_t> group;
-  while (!exiting) {
-    std::uint8_t type = 0;
-    std::string payload;
-    if (!next_frame(type, payload)) break;
-    switch (static_cast<shard::MsgType>(type)) {
-      case shard::MsgType::Shutdown:
-        exiting = true;
-        break;
-      case shard::MsgType::Assign: {
-        if (!shard::decode_assign(payload, group)) {
-          exiting = true;  // protocol violation; die visibly, not wrongly
-          break;
-        }
-        for (const std::size_t k : group) {
-          if (shutdown_pending()) {
-            exiting = true;
-            break;
-          }
-          if (send(shard::MsgType::FaultStart,
-                   shard::encode_fault_start(k)) != 0) {
-            exiting = true;
-            break;
-          }
-          // Chaos hooks (tests only): die exactly where a segfaulting
-          // engine would — after announcing the fault, before its result.
-          if (k == ctx.chaos_abort_fault ||
-              shard::chaos_should_kill(ctx.chaos_kill_seed, k,
-                                       ctx.incarnation,
-                                       ctx.chaos_kill_permille)) {
-            ::raise(SIGKILL);
-          }
-          const std::size_t one[] = {k};
-          const std::vector<MotBatchItem> out =
-              runner.run(*ctx.test, *ctx.good, *ctx.faults, one);
-          if (shard) shard->append(out[0]);
-          const std::string record =
-              encode_journal_record(out[0], ctx.run_baseline);
-          if (send(shard::MsgType::FaultResult, record) != 0) {
-            exiting = true;
-            break;
-          }
-        }
-        if (!exiting && send(shard::MsgType::GroupDone, "") != 0) {
-          exiting = true;
-        }
-        break;
-      }
-      default:
-        break;  // coordinator never sends other types; ignore
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(hb_mu);
-    stop.store(true, std::memory_order_relaxed);
-  }
-  hb_cv.notify_all();
-  if (heartbeat.joinable()) heartbeat.join();
-  return 0;
-}
-
-/// Coordinator-side view of one worker slot. Every worker sits behind a
-/// ByteChannel: a forked worker's pipe pair, or a TCP connection that passed
-/// the handshake. A forked worker also has a pid, kept only for SIGKILL and
-/// waitpid. Everything else —
+/// Coordinator-side view of one worker slot. Every worker, forked or TCP,
+/// sits behind a ByteChannel that passed the handshake; a forked worker
+/// also has a pid, kept only for SIGKILL and waitpid. Everything else —
 /// assignment, outstanding-fault accounting, liveness timestamps,
 /// incarnation fencing — is transport-agnostic.
 struct Slot {
@@ -238,12 +54,15 @@ struct Slot {
   bool idle() const { return alive && group.empty(); }
 };
 
-/// A TCP connection that has been accepted but not yet welcomed into a
-/// slot — it has until `deadline_ms` to present a valid Hello.
+/// A channel not yet welcomed into a slot: an accepted TCP connection, or
+/// a child forked for `slot`. It has until `deadline_ms` to present a valid
+/// Hello.
 struct PendingConn {
   std::unique_ptr<netio::ByteChannel> chan;
   std::unique_ptr<sp::FrameReader> reader;
   std::uint64_t deadline_ms = 0;
+  std::size_t slot = kNoFault;  // kNoFault = accepted socket, any free slot
+  pid_t pid = -1;
 };
 
 /// Waits for a forked worker, SIGKILLing it first when `kill`. Returns the
@@ -288,9 +107,10 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   const std::size_t workers = std::max<std::size_t>(sup_.workers, 1);
   const std::string jpath = journal != nullptr ? journal->path() : "";
   const bool remote = sup_.listen_fd >= 0;
-  // The campaign identity remote workers must prove in their Hello. With a
-  // journal this is its meta verbatim; without one it is assembled from the
-  // same ingredients, so the two modes admit exactly the same workers.
+  // The campaign identity every worker must prove in its Hello; a forked
+  // worker sends it verbatim. With a journal this is its meta verbatim;
+  // without one it is assembled from the same ingredients, so the two modes
+  // admit exactly the same workers.
   const JournalMeta expected_meta =
       journal != nullptr ? journal->meta()
                          : make_journal_meta(circuit_->name(), faults.size(),
@@ -391,29 +211,22 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       sup_.heartbeat_ms == 0 ? 0
                              : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
 
-  WorkerContext base_ctx;
-  base_ctx.circuit = circuit_;
-  base_ctx.test = &test;
-  base_ctx.good = &good;
-  base_ctx.faults = &faults;
-  base_ctx.options = options_;
-  // Workers are serial lanes: parallelism is the process count, and the
-  // campaign-level deadline belongs to the coordinator alone.
-  base_ctx.options.num_threads = 1;
-  base_ctx.options.campaign_time_ms = 0;
-  base_ctx.run_baseline = run_baseline_;
-  if (journal != nullptr) base_ctx.meta = journal->meta();
-  base_ctx.heartbeat_period_ms = heartbeat_period_ms;
-  base_ctx.chaos_kill_permille = sup_.chaos_kill_permille;
-  base_ctx.chaos_kill_seed = sup_.chaos_kill_seed;
-  base_ctx.chaos_abort_fault = sup_.chaos_abort_fault;
+  // A forked worker serves the coordinator's own pipeline, reached through
+  // fork's copy-on-write pages (nothing is serialized), and its chaos kills
+  // are real SIGKILLs.
+  RemoteWorkerOptions fork_opts;
+  fork_opts.chaos_kill_permille = sup_.chaos_kill_permille;
+  fork_opts.chaos_kill_seed = sup_.chaos_kill_seed;
+  fork_opts.chaos_abort_fault = sup_.chaos_abort_fault;
+  fork_opts.chaos_die_hard = true;
 
+  /// Forks a worker for slot `s`. It joins the slot through the same
+  /// Hello/Welcome handshake as a TCP worker.
   auto spawn_slot = [&](std::size_t s) {
-    Slot& slot = slots[s];
-    WorkerContext ctx = base_ctx;
-    ctx.shard_path = worker_shard_path(jpath, s);
-    ctx.incarnation = slot.incarnation;
+    const std::string shard_path = worker_shard_path(jpath, s);
     sp::ChildHandles child;
+    // The child runs after fork and must never return into the forked copy
+    // of the coordinator's stack (spawn() _exits with the return value).
     const int err = sp::spawn(
         [&](int cmd_fd, int res_fd) {
           // Drop the inherited coordinator ends of every sibling: holding
@@ -421,23 +234,50 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
           for (Slot& other : slots) {
             if (other.chan != nullptr) other.chan->close();
           }
-          return worker_main(cmd_fd, res_fd, ctx);
+          for (PendingConn& other : pending_conns) {
+            if (other.chan != nullptr) other.chan->close();
+          }
+          // The coordinator owns terminal signals; a Ctrl-C must stop the
+          // campaign through the coordinator's clean-shutdown path, not kill
+          // workers ahead of their final results. SIGTERM drops any handler
+          // inherited from the CLI (whose CancelToken means nothing here).
+          // SIGPIPE on a dead coordinator becomes EPIPE, which ends the
+          // session.
+          ::signal(SIGINT, SIG_IGN);
+          ::signal(SIGTERM, SIG_DFL);
+          ::signal(SIGPIPE, SIG_IGN);
+          const WorkerSession session(*circuit_, options_, run_baseline_, test,
+                                      good, faults, expected_meta, fork_opts);
+          // Shard journaling is belt-and-braces on top of the pipe; a worker
+          // that cannot create its shard still contributes via frames alone.
+          std::unique_ptr<CampaignJournal> shard_journal;
+          if (!shard_path.empty()) {
+            std::string jerr;
+            shard_journal =
+                CampaignJournal::create(shard_path, expected_meta, jerr);
+          }
+          netio::FdChannel chan(cmd_fd, res_fd);
+          RemoteWorkerReport report;
+          std::string why;
+          session.serve(
+              chan, {},
+              [&](const MotBatchItem& item, const std::string&) {
+                if (shard_journal) shard_journal->append(item);
+              },
+              report, why);
+          return 0;
         },
         {}, child);
     if (err != 0) return false;
     sp::set_nonblocking(child.result_fd);
-    slot.pid = child.pid;
-    slot.chan = std::make_unique<netio::FdChannel>(child.result_fd,
-                                                   child.command_fd);
-    slot.reader = std::make_unique<sp::FrameReader>(*slot.chan);
-    slot.alive = true;
-    ++slot.incarnation;
-    slot.group.clear();
-    slot.outstanding.clear();
-    slot.in_flight = kNoFault;
-    slot.shutdown_sent = false;
-    slot.respawn_pending = false;
-    slot.last_frame_ms = sp::steady_now_ms();
+    PendingConn pc;
+    pc.chan = std::make_unique<netio::FdChannel>(child.result_fd,
+                                                 child.command_fd);
+    pc.reader = std::make_unique<sp::FrameReader>(*pc.chan);
+    pc.deadline_ms = sp::steady_now_ms() + kHandshakeMs;
+    pc.slot = s;
+    pc.pid = child.pid;
+    pending_conns.push_back(std::move(pc));
     return true;
   };
 
@@ -589,8 +429,9 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     slot_write(slot, shard::MsgType::Shutdown, "");
   };
 
-  /// Turns a connection away: a Reject carrying `reason` (none when
-  /// empty), then a hang-up.
+  /// Turns a channel away: a Reject carrying `reason` (none when empty),
+  /// then a hang-up. A child forked for a slot is also killed and reaped,
+  /// and mid-campaign its slot recovers like any other death.
   auto drop_conn = [&](PendingConn& pc, std::string_view reason) {
     if (!reason.empty()) {
       sp::write_frame(*pc.chan,
@@ -599,42 +440,51 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     }
     pc.reader.reset();
     pc.chan.reset();
+    if (pc.pid < 0) return;
+    const int status = reap(pc.pid, /*kill=*/true);
+    if (!stopping) {
+      handle_death(pc.slot, "handshake_" + sp::describe_wait_status(status));
+    }
   };
 
-  /// Welcomes a handshaken connection into a worker slot. First lives of a
-  /// slot are free (they are the initial fleet); re-filling a used slot is a
-  /// restart and spends the max_worker_restarts budget like a local respawn.
+  /// Welcomes a handshaken channel into a worker slot: a forked child into
+  /// the slot it was forked for, a TCP worker into any free slot. First
+  /// lives of a slot are free (they are the initial fleet); a TCP worker
+  /// re-filling a used slot is a restart and spends the max_worker_restarts
+  /// budget like a local respawn (which is charged when it is scheduled).
   auto admit_conn = [&](PendingConn& pc) {
-    std::size_t chosen = kNoFault;
-    bool rejoin = false;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (!slots[s].alive && slots[s].incarnation == 0) {
-        chosen = s;
-        break;
-      }
-    }
+    std::size_t chosen = pc.slot;
     if (chosen == kNoFault) {
+      bool rejoin = false;
       for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!slots[s].alive) {
+        if (!slots[s].alive && slots[s].incarnation == 0) {
           chosen = s;
-          rejoin = true;
           break;
         }
       }
-    }
-    if (chosen == kNoFault) {
-      // Transient by design: the worker retries after backoff, by which
-      // time the dead incarnation's EOF has usually been processed.
-      drop_conn(pc, "no_free_slot");
-      return;
-    }
-    if (rejoin) {
-      if (restarts_used >= sup_.max_worker_restarts) {
-        drop_conn(pc, "restart_budget_spent");
+      if (chosen == kNoFault) {
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+          if (!slots[s].alive) {
+            chosen = s;
+            rejoin = true;
+            break;
+          }
+        }
+      }
+      if (chosen == kNoFault) {
+        // Transient by design: the worker retries after backoff, by which
+        // time the dead incarnation's EOF has usually been processed.
+        drop_conn(pc, "no_free_slot");
         return;
       }
-      ++restarts_used;
-      ++stats->worker_restarts;
+      if (rejoin) {
+        if (restarts_used >= sup_.max_worker_restarts) {
+          drop_conn(pc, "restart_budget_spent");
+          return;
+        }
+        ++restarts_used;
+        ++stats->worker_restarts;
+      }
     }
     Slot& slot = slots[chosen];
     shard::WelcomeInfo info;
@@ -648,7 +498,8 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       return;
     }
     ++slot.incarnation;
-    slot.pid = -1;
+    slot.pid = pc.pid;
+    pc.pid = -1;
     slot.chan = std::move(pc.chan);
     slot.reader = std::move(pc.reader);
     slot.alive = true;
@@ -661,10 +512,10 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   };
 
   /// Accepts fresh connections and advances every pending handshake. A
-  /// connection becomes a worker only through a Hello whose meta matches
-  /// this campaign exactly.
+  /// channel becomes a worker only through a Hello whose meta matches this
+  /// campaign exactly.
   auto serve_handshakes = [&] {
-    while (true) {
+    while (remote) {
       int aerr = 0;
       const int cfd = netio::tcp_accept(sup_.listen_fd, aerr);
       if (cfd < 0) break;  // EAGAIN (nothing pending) or a transient error
@@ -755,16 +606,12 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     }
   };
 
-  // Initial fleet: one worker per slot, capped by the number of groups —
-  // idle processes would only dilute the kill/restart accounting. Remote
-  // mode forks nothing: slots fill as workers connect and handshake.
+  // Initial fleet: one forked worker per slot, capped by the number of
+  // groups — idle processes would only dilute the kill/restart accounting.
+  // With a listener nothing is forked: slots fill as workers connect.
   if (!remote) {
     const std::size_t initial = std::min(workers, queue.size());
-    for (std::size_t s = 0; s < initial; ++s) {
-      if (!spawn_slot(s)) continue;
-      assign_group(slots[s], std::move(queue.front()));
-      queue.pop_front();
-    }
+    for (std::size_t s = 0; s < initial; ++s) spawn_slot(s);
   }
 
   // ------------------------- supervision loop -------------------------
@@ -781,16 +628,17 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
 
     bool any_live = false;
     bool any_busy = false;
-    bool any_respawn = false;
+    bool any_joining = false;  // a forked worker is on its way
     for (const Slot& slot : slots) {
       any_live |= slot.alive;
       any_busy |= slot.alive && !slot.group.empty();
-      any_respawn |= slot.respawn_pending;
+      any_joining |= slot.respawn_pending;
     }
+    for (const PendingConn& pc : pending_conns) any_joining |= pc.pid >= 0;
 
     if (!stopping) {
       if (queue.empty() && !any_busy) break;  // campaign complete
-      if (!remote && !any_live && !any_respawn) {
+      if (!remote && !any_live && !any_joining) {
         // Every worker is dead and the restart budget is spent: surrender
         // the remainder as incomplete (resumable), never hang.
         for (const auto& g : queue) stats->lost_faults += g.size();
@@ -819,7 +667,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
         if (spawn_slot(s)) ++stats->worker_restarts;
       }
     }
-    if (remote) serve_handshakes();
+    serve_handshakes();
     if (!stopping) {
       // Work stealing: idle survivors immediately claim requeued groups.
       for (Slot& slot : slots) {
@@ -830,13 +678,20 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       }
     }
 
-    // Wait for worker traffic (bounded so timeouts and respawns progress).
+    // Wait for worker traffic or a forked worker's Hello (bounded so
+    // timeouts and respawns progress). A spawn or respawn is thus admitted
+    // as soon as its Hello arrives. TCP handshakes advance on the tick: a
+    // fleet that connects together is admitted together, so a campaign
+    // shorter than the fleet's connect spread still sees every worker.
     std::vector<struct pollfd> fds;
     std::vector<std::size_t> fd_slot;
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (!slots[s].alive) continue;
       fds.push_back({slots[s].reader->fd(), POLLIN, 0});
       fd_slot.push_back(s);
+    }
+    for (const PendingConn& pc : pending_conns) {
+      if (pc.pid >= 0) fds.push_back({pc.reader->fd(), POLLIN, 0});
     }
     const int r = ::poll(fds.data(), fds.size(), fds.empty() ? 5 : 20);
     if (r < 0 && errno != EINTR) break;  // coordinator fd table is broken
@@ -911,11 +766,13 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // Connections that never finished their handshake get a door shut, not a
-  // dangling socket. The listening fd stays open — the caller owns it.
+  // Channels that never finished their handshake get a door shut, and a
+  // child forked for one is killed and reaped. The listening fd stays open
+  // — the caller owns it.
   for (PendingConn& pc : pending_conns) {
     pc.reader.reset();
     pc.chan.reset();
+    if (pc.pid >= 0) reap(pc.pid, /*kill=*/true);
   }
   pending_conns.clear();
 

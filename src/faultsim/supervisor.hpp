@@ -4,10 +4,13 @@
 // its worker lanes share one address space: a segfault, OOM kill, or runaway
 // allocation in a single fault's MOT expansion still takes down the entire
 // campaign. SupervisedMotRunner is the next isolation ring — it forks N
-// worker *processes*, assigns fault-group shards over the pipe protocol of
-// faultsim/shard.hpp, and supervises them:
+// worker *processes* (or admits N TCP workers), assigns fault-group shards
+// over the frame protocol of faultsim/shard.hpp, and supervises them. Every
+// worker runs the one WorkerSession of faultsim/remote.hpp and joins its
+// slot through the same Hello/Welcome admission; a forked worker speaks it
+// over a pipe pair:
 //
-//  * death detection     pipe EOF, waitpid status (SIGSEGV/SIGKILL/exit
+//  * death detection     channel EOF, waitpid status (SIGSEGV/SIGKILL/exit
 //                        code), heartbeat timeout (hung worker), and
 //                        per-shard deadline (livelocked worker) all converge
 //                        on the same recovery path;
@@ -98,7 +101,7 @@ struct SupervisorOptions {
   /// fork/pipe mode. >= 0 switches the supervisor to remote mode: no
   /// processes are forked; instead `workers` becomes the slot count and
   /// each slot is filled by a TCP worker (faultsim/remote.hpp) that
-  /// connects and passes the JournalMeta handshake. Death detection
+  /// connects and passes the same JournalMeta handshake. Death detection
   /// (disconnect, heartbeat gap, shard deadline), work requeue, poison
   /// quarantine and the bit-identical input-order merge all carry over
   /// unchanged. The caller keeps ownership of the fd.

@@ -1,9 +1,10 @@
 // Tests for the multi-process campaign supervisor: shard protocol codec,
 // group planning, chaos kill schedule, and — the load-bearing guarantees —
 // bit-identity of the supervised merge with the in-process runner under
-// arbitrary worker counts and seeded kill schedules, poison-fault
-// quarantine, fleet-loss partial completion, and journal interop (shard
-// harvest + resume through the ordinary in-process path).
+// arbitrary worker counts and seeded kill schedules (over forked and TCP
+// workers alike), poison-fault quarantine, fleet-loss partial completion,
+// and journal interop (shard harvest + resume through the ordinary
+// in-process path).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -71,6 +72,53 @@ SupervisorOptions test_sup(std::size_t workers) {
   sup.shutdown_grace_ms = 20000;
   return sup;
 }
+
+// Opens the coordinator's loopback listener on an ephemeral port.
+int open_listener(std::uint16_t& port) {
+  std::string error;
+  const int fd = netio::tcp_listen("127.0.0.1", 0, error);
+  EXPECT_GE(fd, 0) << error;
+  port = fd >= 0 ? netio::local_port(fd) : 0;
+  EXPECT_NE(port, 0);
+  return fd;
+}
+
+// Worker options tuned for tests: tiny backoff, a bounded attempt budget so
+// a worker orphaned by a finished campaign fails fast instead of hanging.
+RemoteWorkerOptions test_remote(std::uint16_t port) {
+  RemoteWorkerOptions o;
+  o.port = port;
+  o.max_connect_attempts = 50;
+  o.reconnect_backoff.base_delay_us = 1000;
+  o.reconnect_backoff.max_delay_us = 20000;
+  o.handshake_timeout_ms = 5000;
+  return o;
+}
+
+// Runs `n` remote workers as plain threads speaking real TCP — each serving
+// the same deterministic pipeline, exactly as `--connect` processes would.
+struct WorkerFleet {
+  std::vector<std::thread> threads;
+  std::vector<int> rcs;
+  std::vector<RemoteWorkerReport> reports;
+
+  void launch(std::size_t n, const Pipeline& p, const MotOptions& opt,
+              bool run_baseline, const RemoteWorkerOptions& ropts) {
+    rcs.assign(n, -1);
+    reports.assign(n, {});
+    for (std::size_t i = 0; i < n; ++i) {
+      threads.emplace_back([this, i, &p, opt, run_baseline, ropts] {
+        rcs[i] = serve_remote_worker(p.circuit, opt, run_baseline, p.test,
+                                     p.good, p.faults, ropts, &reports[i]);
+      });
+    }
+  }
+  void join() {
+    for (auto& t : threads) t.join();
+    threads.clear();
+  }
+  ~WorkerFleet() { join(); }
+};
 
 // ------------------------------------------------------- shard codec ----
 
@@ -218,77 +266,6 @@ TEST(SupervisedMotRunner, EmptyIndicesReturnEmpty) {
   EXPECT_TRUE(runner.run(p.test, p.good, p.faults, {}, nullptr).empty());
 }
 
-// The chaos test of the issue: SIGKILL workers at seeded random points and
-// require the merged result to stay bit-identical to the single-process
-// run, at 1 worker and at 4 workers.
-TEST(SupervisedMotRunner, SeededWorkerKillsAreInvisibleInResults) {
-  const Pipeline p = prepare(circuits::build_benchmark("s298"), 24, 11);
-  ASSERT_GT(p.candidates.size(), 4u);
-  MotOptions opt;
-  opt.num_threads = 1;
-  opt.n_states = 16;  // keep per-fault cost small; deaths dominate the test
-  const MotBatchRunner reference(p.circuit, opt, /*run_baseline=*/true);
-  const std::vector<MotBatchItem> want =
-      reference.run(p.test, p.good, p.faults, p.candidates);
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    SupervisorOptions sup = test_sup(workers);
-    sup.chaos_kill_permille = 250;
-    sup.chaos_kill_seed = 0xdeadbeef;
-    sup.max_fault_attempts = 1000;   // no poisoning: every fault must land
-    sup.max_worker_restarts = 10000;
-    const SupervisedMotRunner runner(p.circuit, opt, /*run_baseline=*/true,
-                                     sup);
-    SupervisorStats stats;
-    const std::vector<MotBatchItem> got = runner.run(
-        p.test, p.good, p.faults, p.candidates, nullptr, nullptr, &stats);
-    EXPECT_GT(stats.worker_deaths, 0u) << workers << " workers";
-    EXPECT_EQ(stats.worker_restarts, stats.worker_deaths);
-    EXPECT_EQ(stats.poisoned_faults, 0u);
-    EXPECT_EQ(stats.lost_faults, 0u);
-    expect_items_identical(got, want);
-  }
-}
-
-// A fault that deterministically kills every worker that touches it must be
-// quarantined after max_fault_attempts — and only it; every other fault's
-// result stays bit-identical.
-TEST(SupervisedMotRunner, PoisonFaultIsQuarantinedAfterMaxAttempts) {
-  const Pipeline p = prepare(circuits::make_table1_example(), 20, 3);
-  ASSERT_GT(p.candidates.size(), 1u);
-  MotOptions opt;
-  opt.num_threads = 1;
-  const MotBatchRunner reference(p.circuit, opt, /*run_baseline=*/true);
-  const std::vector<MotBatchItem> want =
-      reference.run(p.test, p.good, p.faults, p.candidates);
-
-  const std::size_t poison = p.candidates[1];
-  SupervisorOptions sup = test_sup(2);
-  sup.chaos_abort_fault = poison;
-  sup.max_fault_attempts = 2;
-  sup.max_worker_restarts = 100;
-  const SupervisedMotRunner runner(p.circuit, opt, /*run_baseline=*/true, sup);
-  SupervisorStats stats;
-  const std::vector<MotBatchItem> got = runner.run(
-      p.test, p.good, p.faults, p.candidates, nullptr, nullptr, &stats);
-
-  EXPECT_EQ(stats.poisoned_faults, 1u);
-  EXPECT_GE(stats.worker_deaths, 2u);  // the poison killed two incarnations
-  EXPECT_EQ(stats.lost_faults, 0u);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i].fault_index == poison) {
-      EXPECT_TRUE(got[i].completed);
-      EXPECT_EQ(got[i].mot.unresolved, UnresolvedReason::EngineError);
-      EXPECT_EQ(got[i].error.rfind("worker_killed_", 0), 0u) << got[i].error;
-      EXPECT_NE(got[i].error.find("signal_9"), std::string::npos)
-          << got[i].error;
-    } else {
-      EXPECT_EQ(got[i], want[i]) << "fault " << got[i].fault_index;
-    }
-  }
-}
-
 // When the whole fleet is dead and the restart budget is spent, the runner
 // returns the remaining faults incomplete (resumable) instead of hanging.
 TEST(SupervisedMotRunner, FleetLossReturnsRemainingFaultsIncomplete) {
@@ -367,9 +344,136 @@ TEST(SupervisedMotRunner, KilledCampaignResumesThroughInProcessRunner) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------ chaos over both transports ----
+
+// Forked workers and TCP workers run the same worker session, so every chaos
+// scenario below runs over both. Fork: the supervisor forks its workers and
+// their chaos kills are real SIGKILLs. TCP: a WorkerFleet of in-process
+// threads serves the same pipeline with the same chaos hooks, and a kill is
+// emulated (the worker drops its link, forgets its replay log and rejoins
+// as a fresh incarnation, which spends the restart budget).
+enum class Transport { Fork, Tcp };
+
+class SupervisedChaos : public testing::TestWithParam<Transport> {
+ protected:
+  std::vector<MotBatchItem> run(const Pipeline& p, const MotOptions& opt,
+                                SupervisorOptions sup,
+                                CampaignJournal* journal,
+                                SupervisorStats& stats) const {
+    if (GetParam() == Transport::Fork) {
+      return SupervisedMotRunner(p.circuit, opt, /*run_baseline=*/true, sup)
+          .run(p.test, p.good, p.faults, p.candidates, journal, nullptr,
+               &stats);
+    }
+    std::uint16_t port = 0;
+    const int listen_fd = open_listener(port);
+    EXPECT_GE(listen_fd, 0);
+    RemoteWorkerOptions ropts = test_remote(port);
+    ropts.chaos_kill_permille = sup.chaos_kill_permille;
+    ropts.chaos_kill_seed = sup.chaos_kill_seed;
+    ropts.chaos_abort_fault = sup.chaos_abort_fault;
+    sup.chaos_kill_permille = 0;
+    sup.chaos_abort_fault = static_cast<std::size_t>(-1);
+    sup.listen_fd = listen_fd;
+    WorkerFleet fleet;
+    fleet.launch(sup.workers, p, opt, /*run_baseline=*/true, ropts);
+    std::vector<MotBatchItem> got =
+        SupervisedMotRunner(p.circuit, opt, /*run_baseline=*/true, sup)
+            .run(p.test, p.good, p.faults, p.candidates, journal, nullptr,
+                 &stats);
+    ::close(listen_fd);  // orphaned reconnects fail fast, not via timeout
+    fleet.join();
+    return got;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, SupervisedChaos,
+                         testing::Values(Transport::Fork, Transport::Tcp),
+                         [](const testing::TestParamInfo<Transport>& info) {
+                           return info.param == Transport::Fork ? "fork"
+                                                                : "tcp";
+                         });
+
+// The load-bearing chaos test: kill workers at seeded random points and
+// require the merged result to stay bit-identical to the single-process
+// run, at 1 worker and at 4 workers.
+TEST_P(SupervisedChaos, SeededWorkerKillsAreInvisibleInResults) {
+  const Pipeline p = prepare(circuits::build_benchmark("s298"), 24, 11);
+  ASSERT_GT(p.candidates.size(), 4u);
+  MotOptions opt;
+  opt.num_threads = 1;
+  opt.n_states = 16;  // keep per-fault cost small; deaths dominate the test
+  const MotBatchRunner reference(p.circuit, opt, /*run_baseline=*/true);
+  const std::vector<MotBatchItem> want =
+      reference.run(p.test, p.good, p.faults, p.candidates);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SupervisorOptions sup = test_sup(workers);
+    sup.chaos_kill_permille = 250;
+    sup.chaos_kill_seed = 0xdeadbeef;
+    sup.max_fault_attempts = 1000;   // no poisoning: every fault must land
+    sup.max_worker_restarts = 10000;
+    SupervisorStats stats;
+    const std::vector<MotBatchItem> got =
+        run(p, opt, sup, nullptr, stats);
+    EXPECT_GT(stats.worker_deaths, 0u) << workers << " workers";
+    if (GetParam() == Transport::Fork) {
+      EXPECT_EQ(stats.worker_restarts, stats.worker_deaths);
+    } else {
+      // A TCP worker killed near the end may find the campaign over before
+      // it rejoins; every rejoin is still a restart.
+      EXPECT_LE(stats.worker_restarts, stats.worker_deaths);
+    }
+    EXPECT_EQ(stats.poisoned_faults, 0u);
+    EXPECT_EQ(stats.lost_faults, 0u);
+    expect_items_identical(got, want);
+  }
+}
+
+// A fault that deterministically kills every worker that touches it must be
+// quarantined after max_fault_attempts — and only it; every other fault's
+// result stays bit-identical.
+TEST_P(SupervisedChaos, PoisonFaultIsQuarantinedAfterMaxAttempts) {
+  const Pipeline p = prepare(circuits::make_table1_example(), 20, 3);
+  ASSERT_GT(p.candidates.size(), 1u);
+  MotOptions opt;
+  opt.num_threads = 1;
+  const MotBatchRunner reference(p.circuit, opt, /*run_baseline=*/true);
+  const std::vector<MotBatchItem> want =
+      reference.run(p.test, p.good, p.faults, p.candidates);
+
+  const std::size_t poison = p.candidates[1];
+  SupervisorOptions sup = test_sup(2);
+  sup.chaos_abort_fault = poison;
+  sup.max_fault_attempts = 2;
+  sup.max_worker_restarts = 100;
+  SupervisorStats stats;
+  const std::vector<MotBatchItem> got = run(p, opt, sup, nullptr, stats);
+
+  EXPECT_EQ(stats.poisoned_faults, 1u);
+  EXPECT_GE(stats.worker_deaths, 2u);  // the poison killed two incarnations
+  EXPECT_EQ(stats.lost_faults, 0u);
+  // The death evidence: a forked worker's wait status, a TCP worker's
+  // dropped link.
+  const char* evidence =
+      GetParam() == Transport::Fork ? "signal_9" : "disconnect";
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].fault_index == poison) {
+      EXPECT_TRUE(got[i].completed);
+      EXPECT_EQ(got[i].mot.unresolved, UnresolvedReason::EngineError);
+      EXPECT_EQ(got[i].error.rfind("worker_killed_", 0), 0u) << got[i].error;
+      EXPECT_NE(got[i].error.find(evidence), std::string::npos)
+          << got[i].error;
+    } else {
+      EXPECT_EQ(got[i], want[i]) << "fault " << got[i].fault_index;
+    }
+  }
+}
+
 // Chaos kills with a journal: the supervised run completes through deaths
 // and restarts, and afterwards a resume finds nothing left to do.
-TEST(SupervisedMotRunner, JournaledChaosRunCompletesAndResumesToNoop) {
+TEST_P(SupervisedChaos, JournaledChaosRunCompletesAndResumesToNoop) {
   const Pipeline p = prepare(circuits::make_table1_example(), 20, 3);
   ASSERT_FALSE(p.candidates.empty());
   MotOptions opt;
@@ -378,7 +482,9 @@ TEST(SupervisedMotRunner, JournaledChaosRunCompletesAndResumesToNoop) {
   const std::vector<MotBatchItem> want =
       reference.run(p.test, p.good, p.faults, p.candidates);
 
-  const std::string path = testing::TempDir() + "/supervised_chaos.journal";
+  const std::string path = testing::TempDir() + "/supervised_chaos_" +
+                           (GetParam() == Transport::Fork ? "fork" : "tcp") +
+                           ".journal";
   const JournalMeta meta = make_journal_meta(p.circuit.name(), p.faults.size(),
                                              p.test, opt, /*baseline=*/true);
   std::string err;
@@ -390,10 +496,9 @@ TEST(SupervisedMotRunner, JournaledChaosRunCompletesAndResumesToNoop) {
   sup.chaos_kill_seed = 42;
   sup.max_fault_attempts = 1000;
   sup.max_worker_restarts = 10000;
-  const SupervisedMotRunner runner(p.circuit, opt, /*run_baseline=*/true, sup);
   SupervisorStats stats;
-  const std::vector<MotBatchItem> got = runner.run(
-      p.test, p.good, p.faults, p.candidates, journal.get(), nullptr, &stats);
+  const std::vector<MotBatchItem> got =
+      run(p, opt, sup, journal.get(), stats);
   expect_items_identical(got, want);
 
   // The shards were merged and retired; the journal alone holds everything.
@@ -411,53 +516,6 @@ TEST(SupervisedMotRunner, JournaledChaosRunCompletesAndResumesToNoop) {
 }
 
 // --------------------------------------------------- remote supervision ----
-
-// Opens the coordinator's loopback listener on an ephemeral port.
-int open_listener(std::uint16_t& port) {
-  std::string error;
-  const int fd = netio::tcp_listen("127.0.0.1", 0, error);
-  EXPECT_GE(fd, 0) << error;
-  port = fd >= 0 ? netio::local_port(fd) : 0;
-  EXPECT_NE(port, 0);
-  return fd;
-}
-
-// Worker options tuned for tests: tiny backoff, a bounded attempt budget so
-// a worker orphaned by a finished campaign fails fast instead of hanging.
-RemoteWorkerOptions test_remote(std::uint16_t port) {
-  RemoteWorkerOptions o;
-  o.port = port;
-  o.max_connect_attempts = 50;
-  o.reconnect_backoff.base_delay_us = 1000;
-  o.reconnect_backoff.max_delay_us = 20000;
-  o.handshake_timeout_ms = 5000;
-  return o;
-}
-
-// Runs `n` remote workers as plain threads speaking real TCP — each serving
-// the same deterministic pipeline, exactly as `--connect` processes would.
-struct WorkerFleet {
-  std::vector<std::thread> threads;
-  std::vector<int> rcs;
-  std::vector<RemoteWorkerReport> reports;
-
-  void launch(std::size_t n, const Pipeline& p, const MotOptions& opt,
-              bool run_baseline, const RemoteWorkerOptions& ropts) {
-    rcs.assign(n, -1);
-    reports.assign(n, {});
-    for (std::size_t i = 0; i < n; ++i) {
-      threads.emplace_back([this, i, &p, opt, run_baseline, ropts] {
-        rcs[i] = serve_remote_worker(p.circuit, opt, run_baseline, p.test,
-                                     p.good, p.faults, ropts, &reports[i]);
-      });
-    }
-  }
-  void join() {
-    for (auto& t : threads) t.join();
-    threads.clear();
-  }
-  ~WorkerFleet() { join(); }
-};
 
 // The acceptance bar of the remote path: a loopback campaign at 1, 2 and 4
 // workers merges bit-identically to the in-process runner, every worker
