@@ -126,46 +126,43 @@ int main(int argc, char** argv) {
   const bool all = args.get_bool("all");
   const std::string circuits_flag = args.get("circuits", "");
   RunConfig config;
-  config.mot.n_states = static_cast<std::size_t>(args.get_int("nstates", 64));
-  config.test_seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  // Thread and worker counts beyond this are typos, not machines: they are
+  // rejected before any thread or process starts.
+  constexpr std::uint64_t kMaxLanes = 1024;
+  config.mot.n_states = args.get_count("nstates", 64);
+  config.test_seed = args.get_count("seed", 7);
   // 0 = every hardware thread; 1 = the serial path. Results are identical
   // for every value (see README "Parallel execution").
-  config.mot.num_threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  config.mot.per_fault_time_ms =
-      static_cast<std::uint64_t>(args.get_int("per-fault-ms", 0));
-  config.mot.per_fault_work_limit =
-      static_cast<std::uint64_t>(args.get_int("per-fault-work", 0));
-  config.mot.campaign_time_ms =
-      static_cast<std::uint64_t>(args.get_int("campaign-ms", 0));
+  config.mot.num_threads = args.get_count("threads", 0, kMaxLanes);
+  config.mot.per_fault_time_ms = args.get_count("per-fault-ms", 0);
+  config.mot.per_fault_work_limit = args.get_count("per-fault-work", 0);
+  config.mot.campaign_time_ms = args.get_count("campaign-ms", 0);
   config.mot.degrade_on_budget = args.get_bool("degrade-on-budget");
-  config.supervisor.workers =
-      static_cast<std::size_t>(args.get_int("workers", 0));
-  config.supervisor.heartbeat_ms =
-      static_cast<std::uint64_t>(args.get_int("worker-heartbeat-ms", 5000));
-  config.supervisor.shard_deadline_ms =
-      static_cast<std::uint64_t>(args.get_int("shard-deadline-ms", 0));
-  config.supervisor.max_fault_attempts =
-      static_cast<std::size_t>(args.get_int("max-fault-attempts", 3));
+  config.supervisor.workers = args.get_count("workers", 0, kMaxLanes);
+  config.supervisor.heartbeat_ms = args.get_count("worker-heartbeat-ms", 5000);
+  config.supervisor.shard_deadline_ms = args.get_count("shard-deadline-ms", 0);
+  config.supervisor.max_fault_attempts = args.get_count("max-fault-attempts", 3);
   config.supervisor.max_worker_restarts =
-      static_cast<std::size_t>(args.get_int("max-worker-restarts", 8));
+      args.get_count("max-worker-restarts", 8);
   // Chaos hooks: test-only fault injection into the worker fleet (see
   // tests/cli_exit_codes_test.sh and DESIGN.md §11). Not for production use.
   config.supervisor.chaos_kill_permille =
-      static_cast<std::uint64_t>(args.get_int("chaos-kill-permille", 0));
-  config.supervisor.chaos_kill_seed =
-      static_cast<std::uint64_t>(args.get_int("chaos-kill-seed", 0));
-  const int chaos_abort = args.get_int("chaos-abort-fault", -1);
+      args.get_count("chaos-kill-permille", 0);
+  config.supervisor.chaos_kill_seed = args.get_count("chaos-kill-seed", 0);
+  const std::int64_t chaos_abort = args.get_int("chaos-abort-fault", -1);
   if (chaos_abort >= 0) {
     config.supervisor.chaos_abort_fault = static_cast<std::size_t>(chaos_abort);
   }
   const std::string listen_flag = args.get("listen", "");
   const std::string listen_port_file = args.get("listen-port-file", "");
   const std::string connect_flag = args.get("connect", "");
-  config.supervisor.remote_join_ms =
-      static_cast<std::uint64_t>(args.get_int("remote-join-ms", 30000));
-  config.supervisor.remote_rejoin_ms =
-      static_cast<std::uint64_t>(args.get_int("remote-rejoin-ms", 10000));
-  const int connect_attempts = args.get_int("connect-attempts", 10);
+  config.supervisor.remote_join_ms = args.get_count("remote-join-ms", 30000);
+  config.supervisor.remote_rejoin_ms = args.get_count("remote-rejoin-ms", 10000);
+  const std::uint64_t connect_attempts = args.get_count("connect-attempts", 10);
+  if (!args.ok()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
+  }
   if (!listen_flag.empty() && !connect_flag.empty()) {
     std::fprintf(stderr, "error: --listen and --connect are exclusive\n");
     return 1;
@@ -240,7 +237,7 @@ int main(int argc, char** argv) {
     worker.host = host;
     worker.port = port;
     worker.max_connect_attempts =
-        connect_attempts > 0 ? static_cast<std::size_t>(connect_attempts) : 1;
+        std::max<std::uint64_t>(connect_attempts, 1);
     worker.chaos_kill_permille = config.supervisor.chaos_kill_permille;
     worker.chaos_kill_seed = config.supervisor.chaos_kill_seed;
     worker.chaos_abort_fault = config.supervisor.chaos_abort_fault;

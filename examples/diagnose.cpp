@@ -18,11 +18,15 @@ int main(int argc, char** argv) {
   using namespace motsim;
   const CliArgs args(argc, argv);
   const std::string bench_path = args.get("bench", "");
-  const std::size_t length = static_cast<std::size_t>(args.get_int("length", 32));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+  const std::size_t length = args.get_count("length", 32);
+  const std::uint64_t seed = args.get_count("seed", 11);
   const std::int64_t fault_index = args.get_int("fault-index", -1);
   for (const std::string& flag : args.unused()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
+  }
+  if (!args.ok()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
   }
 
   Circuit circuit;

@@ -205,8 +205,7 @@ int main(int argc, char** argv) {
   const std::string dir = args.get("testcases", "");
   const std::vector<std::string> circuits = split_names(args.get("circuits", ""));
   const bool self = args.get_bool("selfcheck");
-  const std::size_t patterns =
-      static_cast<std::size_t>(args.get_int("patterns", 8));
+  const std::size_t patterns = args.get_count("patterns", 8);
   std::vector<std::size_t> thread_counts;
   for (std::string_view t : split(args.get("threads", "1,8"), ',')) {
     std::uint64_t n = 0;
@@ -219,6 +218,10 @@ int main(int argc, char** argv) {
   const char* update_env = std::getenv("MOTSIM_UPDATE_GOLDEN");
   const bool update = args.get_bool("update-golden") ||
                       (update_env != nullptr && *update_env == '1');
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return usage(argv[0]);
+  }
   const auto unused = args.unused();
   if (!unused.empty()) {
     std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());

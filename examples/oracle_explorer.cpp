@@ -25,15 +25,19 @@
 int main(int argc, char** argv) {
   using namespace motsim;
   const CliArgs args(argc, argv);
-  const std::size_t n_circuits = static_cast<std::size_t>(args.get_int("circuits", 30));
-  const std::size_t n_ffs = static_cast<std::size_t>(args.get_int("ffs", 6));
-  const std::size_t n_gates = static_cast<std::size_t>(args.get_int("gates", 40));
-  const std::size_t length = static_cast<std::size_t>(args.get_int("length", 24));
-  const std::uint64_t seed0 = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::size_t n_circuits = args.get_count("circuits", 30);
+  const std::size_t n_ffs = args.get_count("ffs", 6);
+  const std::size_t n_gates = args.get_count("gates", 40);
+  const std::size_t length = args.get_count("length", 24);
+  const std::uint64_t seed0 = args.get_count("seed", 1);
   MotOptions opt;
-  opt.n_states = static_cast<std::size_t>(args.get_int("nstates", 64));
+  opt.n_states = args.get_count("nstates", 64);
   for (const std::string& flag : args.unused()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
+  }
+  if (!args.ok()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
   }
   if (n_ffs > 14) {
     std::fprintf(stderr, "error: --ffs %zu makes the 2^k oracle intractable\n", n_ffs);

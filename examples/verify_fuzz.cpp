@@ -112,11 +112,10 @@ int main(int argc, char** argv) {
   }
 
   FuzzOptions options;
-  options.num_seeds = static_cast<std::size_t>(args.get_int("seeds", 100));
-  options.seed_base = static_cast<std::uint64_t>(args.get_int("seed-base", 1));
-  options.budget_ms = static_cast<std::uint64_t>(args.get_int("budget-ms", 0));
-  options.max_faults_per_seed =
-      static_cast<std::size_t>(args.get_int("max-faults", 5));
+  options.num_seeds = args.get_count("seeds", 100);
+  options.seed_base = args.get_count("seed-base", 1);
+  options.budget_ms = args.get_count("budget-ms", 0);
+  options.max_faults_per_seed = args.get_count("max-faults", 5);
   options.shrink = !args.get_bool("no-shrink");
   options.corpus_dir = args.get("corpus-dir", "");
   options.log = &std::cout;
@@ -127,8 +126,7 @@ int main(int argc, char** argv) {
   }
   if (args.has("emit-corpus")) {
     options.emit_corpus = true;
-    options.emit_corpus_limit =
-        static_cast<std::size_t>(args.get_int("emit-corpus", 20));
+    options.emit_corpus_limit = args.get_count("emit-corpus", 20);
     if (options.corpus_dir.empty()) {
       std::fprintf(stderr, "--emit-corpus requires --corpus-dir\n");
       return usage(argv[0]);
@@ -136,6 +134,10 @@ int main(int argc, char** argv) {
   }
   // A planted bug should stop the run at the first catch.
   options.stop_on_first = options.mutant != Mutant::None;
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return usage(argv[0]);
+  }
   const auto unused = args.unused();
   if (!unused.empty()) {
     std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());

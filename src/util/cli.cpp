@@ -1,6 +1,6 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <cstdint>
 
 #include "util/strings.hpp"
 
@@ -44,7 +44,36 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def) const {
   queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  std::string_view digits = it->second;
+  const bool negative = starts_with(digits, "-");
+  if (negative) digits.remove_prefix(1);
+  std::uint64_t magnitude = 0;
+  if (!parse_u64(digits, magnitude) ||
+      magnitude > static_cast<std::uint64_t>(INT64_MAX)) {
+    if (error_.empty()) {
+      error_ = "--" + name + ": expected an integer, got '" + it->second + "'";
+    }
+    return def;
+  }
+  const auto value = static_cast<std::int64_t>(magnitude);
+  return negative ? -value : value;
+}
+
+std::uint64_t CliArgs::get_count(const std::string& name, std::uint64_t def,
+                                 std::uint64_t max) const {
+  queried_[name] = true;
+  auto it = flags_.find(name);
+  if (it == flags_.end()) return def;
+  std::uint64_t value = 0;
+  if (!parse_u64(it->second, value) || value > max) {
+    if (error_.empty()) {
+      error_ = "--" + name + ": expected a non-negative integer" +
+               (max == UINT64_MAX ? "" : " up to " + std::to_string(max)) +
+               ", got '" + it->second + "'";
+    }
+    return def;
+  }
+  return value;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {

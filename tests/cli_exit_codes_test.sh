@@ -38,6 +38,26 @@ check "--journal with --resume is a usage error" 1 $?
 "$BIN" --journal "$TMP/j.journal" --circuits s298,s344 > /dev/null 2>&1
 check "--journal needs exactly one circuit" 1 $?
 
+# 1 — malformed count flags are usage errors that name the flag, caught
+# before anything runs: nothing on stdout, and no journal (the campaign's
+# first step, ahead of every thread pool and worker process) was created.
+for args in "--threads abc" "--threads -1" "--workers 4x"; do
+  rm -f "$TMP/flag.journal"
+  # shellcheck disable=SC2086 # $args is two words on purpose
+  "$BIN" --circuits s298 $args --journal "$TMP/flag.journal" \
+    > "$TMP/out1f.txt" 2> "$TMP/err1f.txt"
+  check "$args is a usage error" 1 $?
+  flag=${args%% *}
+  if ! grep -q -- "$flag" "$TMP/err1f.txt"; then
+    echo "FAIL: $args: stderr does not name $flag" >&2
+    fail=1
+  fi
+  if [ -s "$TMP/out1f.txt" ] || [ -e "$TMP/flag.journal" ]; then
+    echo "FAIL: $args: the campaign started before the flag was rejected" >&2
+    fail=1
+  fi
+done
+
 # 2 — an exhausted campaign budget leaves incomplete faults (budget 1 ms:
 # the campaign deadline fires before the MOT candidates are processed).
 "$BIN" --circuits s420 --campaign-ms 1 --journal "$TMP/stop.journal" \

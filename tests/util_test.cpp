@@ -254,6 +254,54 @@ TEST(Cli, GetInt) {
   EXPECT_EQ(args.get_int("neg", 0), -5);
 }
 
+TEST(CliArgs, CountAcceptsNonNegativeDecimalsUpToMax) {
+  const char* argv[] = {"prog", "--n", "128", "--zero", "0", "--cap", "1024"};
+  const CliArgs args(7, argv);
+  EXPECT_EQ(args.get_count("n", 7), 128u);
+  EXPECT_EQ(args.get_count("zero", 7), 0u);
+  EXPECT_EQ(args.get_count("cap", 7, 1024), 1024u);
+  EXPECT_EQ(args.get_count("missing", 7), 7u);
+  EXPECT_TRUE(args.ok()) << args.error();
+}
+
+// A signed, unparsed or out-of-range count must never become a silent 0, a
+// prefix, or SIZE_MAX: each is an error naming the flag, and the getter
+// falls back to the default.
+TEST(CliArgs, MalformedCountIsAnErrorNamingTheFlag) {
+  const char* bad[] = {"abc", "-1", "4x", "", "+4", " 4", "1e3",
+                       "18446744073709551616", "1025"};
+  for (const char* value : bad) {
+    const std::string arg = std::string("--threads=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const CliArgs args(2, argv);
+    EXPECT_TRUE(args.ok());
+    EXPECT_EQ(args.get_count("threads", 3, 1024), 3u) << value;
+    EXPECT_FALSE(args.ok()) << value;
+    EXPECT_NE(args.error().find("--threads"), std::string::npos)
+        << args.error();
+  }
+}
+
+TEST(CliArgs, FirstMalformedFlagIsTheOneReported) {
+  const char* argv[] = {"prog", "--workers", "4x", "--threads", "abc"};
+  const CliArgs args(5, argv);
+  args.get_count("workers", 0);
+  args.get_count("threads", 0);
+  EXPECT_EQ(args.error().rfind("--workers", 0), 0u) << args.error();
+}
+
+TEST(CliArgs, SignedIntKeepsItsSignButRejectsGarbage) {
+  const char* argv[] = {"prog", "--abort", "-1", "--bad", "-x", "--tail",
+                        "12ab"};
+  const CliArgs args(7, argv);
+  EXPECT_EQ(args.get_int("abort", 0), -1);
+  EXPECT_TRUE(args.ok());
+  EXPECT_EQ(args.get_int("bad", 5), 5);
+  EXPECT_FALSE(args.ok());
+  EXPECT_NE(args.error().find("--bad"), std::string::npos) << args.error();
+  EXPECT_EQ(args.get_int("tail", 6), 6);
+}
+
 TEST(Cli, UnusedReportsUnqueriedFlags) {
   const char* argv[] = {"prog", "--used", "1", "--typo", "2"};
   CliArgs args(5, argv);
