@@ -267,7 +267,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
               report, why);
           return 0;
         },
-        {}, child);
+        child);
     if (err != 0) return false;
     sp::set_nonblocking(child.result_fd);
     PendingConn pc;

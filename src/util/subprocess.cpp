@@ -171,7 +171,7 @@ ReadStatus read_frame(FrameReader& reader, int timeout_ms, std::uint8_t& type,
 }
 
 int spawn(const std::function<int(int command_fd, int result_fd)>& child_main,
-          std::span<const int> close_in_child, ChildHandles& out) {
+          ChildHandles& out) {
   Pipe down;  // parent -> child commands
   Pipe up;    // child -> parent results
   int err = make_pipe(down);
@@ -191,14 +191,10 @@ int spawn(const std::function<int(int command_fd, int result_fd)>& child_main,
     return err;
   }
   if (pid == 0) {
-    // Child. Shed the parent-side ends and every sibling descriptor so this
-    // worker can never keep a dead sibling's pipe half-open, then run and
-    // _exit — no unwinding back into the forked copy of the caller.
+    // Child. Shed the parent-side ends, then run and _exit — no unwinding
+    // back into the forked copy of the caller.
     ::close(down.write_fd);
     ::close(up.read_fd);
-    for (const int fd : close_in_child) {
-      if (fd >= 0) ::close(fd);
-    }
     int rc = 127;
     try {
       rc = child_main(down.read_fd, up.write_fd);

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -131,16 +130,16 @@ ReadStatus read_frame(FrameReader& reader, int timeout_ms, std::uint8_t& type,
 /// Forks a child that runs `child_main(command_fd, result_fd)` and _exits
 /// with its return value — the child never returns into the caller's stack
 /// (no destructors, no test-framework teardown, no double-flushed stdio).
-/// Every fd in `close_in_child` (sibling workers' pipe ends, typically) is
-/// closed in the child before child_main runs. On success fills `out` with
-/// the parent-side ends and returns 0; on failure returns errno.
+/// The child inherits every other descriptor; child_main closes what it
+/// must not hold (a sibling worker's ends, typically). On success fills
+/// `out` with the parent-side ends and returns 0; on failure returns errno.
 struct ChildHandles {
   pid_t pid = -1;
   int command_fd = -1;  ///< parent writes commands here
   int result_fd = -1;   ///< parent reads results here
 };
 int spawn(const std::function<int(int command_fd, int result_fd)>& child_main,
-          std::span<const int> close_in_child, ChildHandles& out);
+          ChildHandles& out);
 
 /// waitpid(WNOHANG) wrapper: 1 = reaped into `status`, 0 = still running,
 /// -1 = error (e.g. ECHILD). Restarts on EINTR.

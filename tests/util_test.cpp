@@ -668,7 +668,7 @@ TEST(Subprocess, SpawnEchoChildAndCleanExit) {
                   if (sp::write_frame(res_fd, type, payload) != 0) return 4;
                   return 0;
                 },
-                {}, child),
+                child),
             0);
   ASSERT_EQ(sp::write_frame(child.command_fd, 9, "ping"), 0);
   sp::FrameReader reader(child.result_fd);
@@ -697,7 +697,7 @@ TEST(Subprocess, DescribeWaitStatusNamesSignals) {
                   }
                   return 0;
                 },
-                {}, child),
+                child),
             0);
   ASSERT_EQ(::kill(child.pid, SIGKILL), 0);
   int status = 0;
@@ -722,7 +722,7 @@ TEST(Subprocess, TryWaitSeesRunningThenReaped) {
                   read_one_frame(reader, type, payload);
                   return 0;
                 },
-                {}, child),
+                child),
             0);
   int status = 0;
   EXPECT_EQ(sp::try_wait(child.pid, status), 0);  // still blocked on a frame
