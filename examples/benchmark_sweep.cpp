@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
   config.supervisor.workers = args.get_count("workers", 0, kMaxLanes);
   config.supervisor.heartbeat_ms = args.get_count("worker-heartbeat-ms", 5000);
   config.supervisor.shard_deadline_ms = args.get_count("shard-deadline-ms", 0);
-  config.supervisor.max_fault_attempts = args.get_count("max-fault-attempts", 3);
+  config.supervisor.max_fault_attempts =
+      args.get_count("max-fault-attempts", 3);
   config.supervisor.max_worker_restarts =
       args.get_count("max-worker-restarts", 8);
   // Chaos hooks: test-only fault injection into the worker fleet (see
@@ -157,7 +158,8 @@ int main(int argc, char** argv) {
   const std::string listen_port_file = args.get("listen-port-file", "");
   const std::string connect_flag = args.get("connect", "");
   config.supervisor.remote_join_ms = args.get_count("remote-join-ms", 30000);
-  config.supervisor.remote_rejoin_ms = args.get_count("remote-rejoin-ms", 10000);
+  config.supervisor.remote_rejoin_ms =
+      args.get_count("remote-rejoin-ms", 10000);
   const std::uint64_t connect_attempts = args.get_count("connect-attempts", 10);
   if (!args.ok()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());

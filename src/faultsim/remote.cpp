@@ -114,7 +114,8 @@ SessionEnd WorkerSession::serve(netio::ByteChannel& chan,
     // the wait via the condition variable rather than waiting out the
     // period.
     heartbeat = std::thread([&] {
-      const auto period = std::chrono::milliseconds(welcome.heartbeat_period_ms);
+      const auto period =
+          std::chrono::milliseconds(welcome.heartbeat_period_ms);
       std::unique_lock<std::mutex> lk(hb_mu);
       auto next = std::chrono::steady_clock::now() + period;
       while (!hb_cv.wait_until(lk, next, [&] {
@@ -252,7 +253,8 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
     }
     netio::SocketChannel chan(fd);
     const std::size_t joined = report->connections;
-    const SessionEnd end = session.serve(chan, replay, keep, *report, why, cancel);
+    const SessionEnd end =
+        session.serve(chan, replay, keep, *report, why, cancel);
     chan.close();
     if (report->connections > joined) consecutive_failures = 0;
 

@@ -141,7 +141,8 @@ class WorkerSession {
   /// until one of the SessionEnd outcomes. `report` counts connections,
   /// replayed records and simulated faults; `why` names the cause of a Lost
   /// or Rejected end. The caller owns and closes `chan`.
-  SessionEnd serve(netio::ByteChannel& chan, std::span<const std::string> replay,
+  SessionEnd serve(netio::ByteChannel& chan,
+                   std::span<const std::string> replay,
                    const RecordHook& on_record, RemoteWorkerReport& report,
                    std::string& why, const CancelToken* cancel = nullptr) const;
 

@@ -208,8 +208,9 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   std::uint64_t fleet_deadline_ms = sp::steady_now_ms() + sup_.remote_join_ms;
   if (remote) sp::set_nonblocking(sup_.listen_fd);
   const std::uint64_t heartbeat_period_ms =
-      sup_.heartbeat_ms == 0 ? 0
-                             : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
+      sup_.heartbeat_ms == 0
+          ? 0
+          : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
 
   // A forked worker serves the coordinator's own pipeline, reached through
   // fork's copy-on-write pages (nothing is serialized), and its chaos kills
