@@ -82,7 +82,6 @@ void reproduction() {
   RunConfig legacy_config;
   legacy_config.mot.num_threads = 1;
   legacy_config.mot.kernel = KernelKind::Legacy;
-  apply_profile_caps("s5378", legacy_config);
   const RunResult legacy = run_circuit(c, r.sequence, legacy_config);
   const bool legacy_identical =
       legacy.conv_detected == r.run.conv_detected &&
@@ -109,7 +108,6 @@ void reproduction() {
   }
   RunConfig par_config;
   par_config.mot.num_threads = 0;  // all hardware threads
-  apply_profile_caps("s5378", par_config);
   const RunResult par = run_circuit(c, r.sequence, par_config);
   const bool identical =
       par.conv_detected == r.run.conv_detected &&

@@ -36,15 +36,15 @@ std::vector<BenchmarkProfile> make_suite() {
   s.push_back({"s420", profile("s420", 18, 1, 16, 218, 4201, 0.12), 150, false});
   s.push_back({"s641", profile("s641", 35, 24, 19, 379, 6411, 0.06), 150, false});
   s.push_back({"s713", profile("s713", 35, 23, 19, 393, 7131, 0.12), 150, false});
-  s.push_back({"s1423", profile("s1423", 17, 5, 74, 657, 14231, 0.03), 150, false, 800});
-  s.push_back({"s5378", profile("s5378", 35, 49, 179, 2779, 53781, 0.06), 200, false, 500});
+  s.push_back({"s1423", profile("s1423", 17, 5, 74, 657, 14231, 0.03), 150, false});
+  s.push_back({"s5378", profile("s5378", 35, 49, 179, 2779, 53781, 0.06), 200, false});
   // Heavy circuits: shorter sequences keep the (cache-bound) parallel
-  // simulation of the full fault universe tractable on one core.
-  s.push_back({"s15850", profile("s15850", 77, 150, 534, 9772, 158501, 0.75), 100, true, 150, 4000});
-  s.push_back({"s35932", profile("s35932", 35, 320, 1728, 16065, 359321, 0.04), 100, true, 150, 4000});
-  s.push_back({"am2910", profile("am2910", 20, 16, 87, 900, 29101, 0.02), 200, false, 800});
-  s.push_back({"mp1_16", profile("mp1_16", 18, 16, 32, 700, 11601, 0.02), 200, false, 800});
-  s.push_back({"mp2", profile("mp2", 32, 16, 64, 4000, 20001, 0.06), 200, false, 500, 6000});
+  // simulation of the full fault universe tractable.
+  s.push_back({"s15850", profile("s15850", 77, 150, 534, 9772, 158501, 0.75), 100, true});
+  s.push_back({"s35932", profile("s35932", 35, 320, 1728, 16065, 359321, 0.04), 100, true});
+  s.push_back({"am2910", profile("am2910", 20, 16, 87, 900, 29101, 0.02), 200, false});
+  s.push_back({"mp1_16", profile("mp1_16", 18, 16, 32, 700, 11601, 0.02), 200, false});
+  s.push_back({"mp2", profile("mp2", 32, 16, 64, 4000, 20001, 0.06), 200, false});
   return s;
 }
 

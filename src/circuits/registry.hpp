@@ -21,14 +21,6 @@ struct BenchmarkProfile {
   GeneratorParams params;   ///< generator configuration of the stand-in
   std::size_t test_length;  ///< random test sequence length for Table 2
   bool heavy;               ///< true for circuits where [4] was "NA" / large
-  /// Default cap on MOT candidates processed by the experiment harness
-  /// (0 = all). Keeps the per-fault procedures tractable on the largest
-  /// stand-ins; the harness reports when a cap binds.
-  std::size_t mot_cap = 0;
-  /// Default MotOptions::max_pairs for this circuit (0 = library default).
-  /// Long sequences over many never-initializing state variables make the
-  /// per-fault collection pair count explode on the big stand-ins.
-  std::size_t pair_cap = 0;
 };
 
 /// All 13 circuits of Table 2, in the paper's row order.

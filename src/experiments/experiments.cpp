@@ -20,22 +20,7 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Bound the per-fault work on the largest stand-ins so the harness stays
-// interactive. Both caps are reported in the diagnostics, never silent.
-void apply_caps(const circuits::BenchmarkProfile& profile, RunConfig& config) {
-  if (config.max_mot_faults == 0) config.max_mot_faults = profile.mot_cap;
-  if (profile.pair_cap > 0 && config.mot.max_pairs == MotOptions{}.max_pairs) {
-    config.mot.max_pairs = profile.pair_cap;
-  }
-}
-
 }  // namespace
-
-void apply_profile_caps(const std::string& benchmark_name, RunConfig& config) {
-  if (const auto* profile = circuits::find_profile(benchmark_name)) {
-    apply_caps(*profile, config);
-  }
-}
 
 RunResult run_circuit(const Circuit& c, const TestSequence& test,
                       const RunConfig& config) {
@@ -179,7 +164,6 @@ RunResult run_benchmark(const circuits::BenchmarkProfile& profile,
     // (paper, Section 4) — report NA.
     config.run_baseline = false;
   }
-  apply_caps(profile, config);
   return run_circuit(c, test, config);
 }
 
@@ -188,14 +172,13 @@ int run_benchmark_remote_worker(const circuits::BenchmarkProfile& profile,
                                 const RemoteWorkerOptions& worker,
                                 RemoteWorkerReport* report) {
   // Mirror run_benchmark exactly: the same circuit, the same seeded
-  // sequence, the same heavy-profile and per-circuit adjustments. Any
-  // divergence would change the JournalMeta and be rejected at handshake.
+  // sequence, the same heavy-profile adjustment. Any divergence would
+  // change the JournalMeta and be rejected at handshake.
   const Circuit c = circuits::generate(profile.params);
   Rng rng(config.test_seed * 1000003 + profile.params.seed);
   const TestSequence test =
       random_sequence(c.num_inputs(), profile.test_length, rng);
   if (profile.heavy) config.run_baseline = false;
-  apply_caps(profile, config);
 
   const std::vector<Fault> faults = collapsed_fault_list(c);
   const SequentialSimulator sim(c, config.mot.kernel);
@@ -211,9 +194,6 @@ HitecExperimentResult run_hitec_experiment(const std::string& benchmark_name,
   HitecLikeParams params;
   params.seed = config.test_seed * 131 + 17;
   HitecLikeResult gen = generate_hitec_like(c, faults, params);
-
-  // The registry's per-circuit caps apply here too (reported, never silent).
-  apply_profile_caps(benchmark_name, config);
 
   HitecExperimentResult out;
   out.sequence_length = gen.sequence.length();

@@ -88,9 +88,9 @@ struct RunResult {
   /// every value).
   std::size_t threads = 1;
   bool capped = false;
-  /// The candidate cap in effect for this run (RunConfig::max_mot_faults
-  /// after profile defaults, 0 = unlimited) — recorded so a truncated
-  /// candidate list is always visible in reports, never silent.
+  /// The candidate cap in effect for this run (RunConfig::max_mot_faults,
+  /// 0 = unlimited) — recorded so a truncated candidate list is always
+  /// visible in reports, never silent.
   std::size_t mot_cap = 0;
   /// Faults whose backward-implication collection hit MotOptions::max_pairs.
   std::size_t collection_capped_faults = 0;
@@ -158,14 +158,13 @@ RunResult run_circuit(const Circuit& c, const TestSequence& test,
 
 /// Builds the registry stand-in for `profile`, draws its random sequence
 /// (length = profile.test_length, seeded from config.test_seed) and runs.
-/// Heavy profiles automatically disable the baseline (the paper's "NA") and
-/// cap MOT candidates unless the config overrides.
+/// Heavy profiles automatically disable the baseline (the paper's "NA").
 RunResult run_benchmark(const circuits::BenchmarkProfile& profile,
                         RunConfig config);
 
 /// Remote-worker entry of a distributed campaign (`--connect`): rebuilds
 /// the exact pipeline run_benchmark would build for `profile` — circuit,
-/// random sequence, heavy-profile baseline disable, per-circuit caps — and
+/// random sequence, heavy-profile baseline disable — and
 /// serves MOT fault simulation to the coordinator at `worker.host:port`
 /// until shutdown or transport failure. The JournalMeta handshake proves
 /// both sides assembled the same campaign, so flag drift between hosts is
@@ -188,11 +187,5 @@ struct HitecExperimentResult {
 };
 HitecExperimentResult run_hitec_experiment(const std::string& benchmark_name,
                                            RunConfig config);
-
-/// Applies the registry's per-circuit interactivity caps (MOT candidate cap,
-/// backward-pair cap) for `benchmark_name` to `config` — the same adjustment
-/// run_benchmark and run_hitec_experiment make internally. Caps the config
-/// already overrides are left alone; unknown names are a no-op.
-void apply_profile_caps(const std::string& benchmark_name, RunConfig& config);
 
 }  // namespace motsim::experiments
