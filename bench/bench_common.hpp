@@ -5,170 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
-
-#include "util/bench_guard.hpp"
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 namespace motsim::benchutil {
-
-/// Hardware threads of this host (never 0). Benchmarks that compare a
-/// serial row against an all-cores row must consult this: on a single-core
-/// host the "parallel" row silently degenerates into a second serial
-/// measurement and any 1-vs-N comparison drawn from it is bogus.
-inline std::uint64_t hardware_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : hc;
-}
-
-/// The git commit the benchmark binary is measuring, for report attribution.
-/// scripts/bench.sh exports MOTSIM_GIT_COMMIT (with a "-dirty" suffix when
-/// the tree has local edits); bare binary invocations report "unknown".
-inline std::string git_commit() {
-  const char* env = std::getenv("MOTSIM_GIT_COMMIT");
-  return (env != nullptr && *env != '\0') ? env : "unknown";
-}
-
-/// How the measured campaign's MOT batch was executed: "inprocess" (thread
-/// pool), "fork" (local supervised worker processes) or "tcp" (remote
-/// workers over --listen/--connect). scripts/bench.sh exports
-/// MOTSIM_BENCH_TRANSPORT when it drives a non-default transport; bare
-/// invocations report the in-process default. Numbers measured over
-/// different transports are not comparable (serialization and supervision
-/// overhead differ), so the report must say which one produced them.
-inline std::string bench_transport() {
-  const char* env = std::getenv("MOTSIM_BENCH_TRANSPORT");
-  return (env != nullptr && *env != '\0') ? env : "inprocess";
-}
-
-/// Remote worker count behind a "tcp" transport measurement (0 for the
-/// local transports). From MOTSIM_BENCH_REMOTE_WORKERS, like the above.
-inline std::uint64_t bench_remote_workers() {
-  const char* env = std::getenv("MOTSIM_BENCH_REMOTE_WORKERS");
-  return (env != nullptr && *env != '\0')
-             ? std::strtoull(env, nullptr, 10)
-             : 0;
-}
-
-/// Machine-readable benchmark results: each reproduction records metric rows
-/// and writes `BENCH_<name>.json` so the perf trajectory can be tracked
-/// across commits. Output lands in $MOTSIM_BENCH_JSON_DIR (scripts/bench.sh
-/// points it at the repo root) or the working directory.
-class JsonReport {
- public:
-  explicit JsonReport(std::string bench_name) : name_(std::move(bench_name)) {}
-
-  class Row {
-   public:
-    Row& add(const std::string& key, double v) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-      entries_.emplace_back(key, buf);
-      return *this;
-    }
-    Row& add(const std::string& key, std::uint64_t v) {
-      entries_.emplace_back(key, std::to_string(v));
-      return *this;
-    }
-    Row& add(const std::string& key, bool v) {
-      entries_.emplace_back(key, v ? "true" : "false");
-      return *this;
-    }
-    Row& add(const std::string& key, const std::string& v) {
-      std::string quoted = "\"";
-      for (char c : v) {
-        if (c == '"' || c == '\\') quoted += '\\';
-        quoted += c;
-      }
-      quoted += '"';
-      entries_.emplace_back(key, std::move(quoted));
-      return *this;
-    }
-
-   private:
-    friend class JsonReport;
-    std::vector<std::pair<std::string, std::string>> entries_;
-  };
-
-  Row& add_row() {
-    rows_.emplace_back();
-    return rows_.back();
-  }
-
-  std::string path() const {
-    const char* dir = std::getenv("MOTSIM_BENCH_JSON_DIR");
-    std::string p = (dir != nullptr && *dir != '\0') ? std::string(dir) + "/"
-                                                     : std::string();
-    return p + "BENCH_" + name_ + ".json";
-  }
-
-  /// Writes the report; prints the destination (or a warning on failure).
-  /// Refuses to replace a multicore measurement with a single-core-host one
-  /// — rerunning the suite on a CI container must not downgrade committed
-  /// scaling rows to placeholders.
-  void write() const {
-    const std::string p = path();
-    if (refuse_single_core_overwrite_file(p, hardware_threads() <= 1)) {
-      std::fprintf(stderr,
-                   "warning: %s holds a multicore measurement; refusing to "
-                   "overwrite it from a single-core host (delete the file to "
-                   "force)\n",
-                   p.c_str());
-      return;
-    }
-    std::FILE* f = std::fopen(p.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", p.c_str());
-      return;
-    }
-    // hardware_threads / single_core_host let report consumers discard
-    // thread-scaling rows measured on a host that cannot actually scale;
-    // git_commit ties the numbers to the source they measured.
-    std::string commit;
-    for (char c : git_commit()) {
-      if (c == '"' || c == '\\') commit += '\\';
-      commit += c;
-    }
-    std::string transport;
-    for (char c : bench_transport()) {
-      if (c == '"' || c == '\\') transport += '\\';
-      transport += c;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"%s\",\n  \"git_commit\": \"%s\",\n"
-                 "  \"hardware_threads\": %llu,\n"
-                 "  \"single_core_host\": %s,\n"
-                 "  \"transport\": \"%s\",\n"
-                 "  \"n_remote_workers\": %llu,\n  \"rows\": [",
-                 name_.c_str(), commit.c_str(),
-                 static_cast<unsigned long long>(hardware_threads()),
-                 hardware_threads() <= 1 ? "true" : "false",
-                 transport.c_str(),
-                 static_cast<unsigned long long>(bench_remote_workers()));
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, "%s\n    {", r == 0 ? "" : ",");
-      const auto& entries = rows_[r].entries_;
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        std::fprintf(f, "%s\"%s\": %s", i == 0 ? "" : ", ",
-                     entries[i].first.c_str(), entries[i].second.c_str());
-      }
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", p.c_str());
-  }
-
- private:
-  std::string name_;
-  std::vector<Row> rows_;
-};
 
 inline void heading(const char* title) {
   std::printf("\n==============================================================\n");

@@ -6,11 +6,6 @@
 // Paper result: proposed 14 extra vs [4] 12 extra. The reproduced shape:
 // the deterministic sequence leaves fewer but harder undetected faults, and
 // the proposed procedure still detects at least as many extras as [4].
-//
-// Doubles as the thread-scaling benchmark: the pipeline runs once with
-// --threads 1 (the historical serial path) and once with all hardware
-// threads on the *same* generated sequence, asserts the detection counts
-// are identical, and records both rows in BENCH_hitec_s5378.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -19,50 +14,15 @@
 #include "experiments/experiments.hpp"
 #include "experiments/report.hpp"
 #include "testgen/hitec_like.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace motsim;
 using namespace motsim::experiments;
 
-// `kernel` tags which per-fault simulation kernel produced the row (the
-// legacy event-driven engines vs the levelized SoA kernel with 64-way packed
-// expansion); `measures_scaling` marks the all-threads row; it is emitted
-// false on a single-core host, where that row degenerates to a second serial
-// run.
-void add_json_row(benchutil::JsonReport& report, const RunResult& r,
-                  const char* kernel, bool measures_scaling) {
-  const double fps =
-      r.seconds > 0.0 ? static_cast<double>(r.total_faults) / r.seconds : 0.0;
-  report.add_row()
-      .add("circuit", r.circuit)
-      .add("kernel", std::string(kernel))
-      .add("measures_scaling",
-           measures_scaling && benchutil::hardware_threads() > 1)
-      .add("stage", std::string("full_pipeline"))
-      .add("threads", static_cast<std::uint64_t>(r.threads))
-      .add("wall_seconds", r.seconds)
-      .add("seconds_prepass", r.seconds_prepass)
-      .add("seconds_mot", r.seconds_mot)
-      .add("faults_per_second", fps)
-      .add("total_faults", static_cast<std::uint64_t>(r.total_faults))
-      .add("mot_candidates", static_cast<std::uint64_t>(r.candidates))
-      .add("mot_processed", static_cast<std::uint64_t>(r.processed))
-      // The candidate cap in effect (0 = uncapped) — a truncated candidate
-      // list is visible in the report, never silent.
-      .add("mot_cap", static_cast<std::uint64_t>(r.mot_cap))
-      .add("mot_capped", r.capped)
-      .add("conv_detected", static_cast<std::uint64_t>(r.conv_detected))
-      .add("baseline_extra", static_cast<std::uint64_t>(r.baseline_extra))
-      .add("proposed_extra", static_cast<std::uint64_t>(r.proposed_extra))
-      .add("proposed_total", static_cast<std::uint64_t>(r.proposed_total()));
-}
-
 void reproduction() {
   benchutil::heading("Deterministic (HITEC-like) sequence on s5378");
   RunConfig config;
-  config.mot.num_threads = 1;  // reference row: the serial path
   const HitecExperimentResult r = run_hitec_experiment("s5378", config);
   std::printf("generated sequence length: %zu\n", r.sequence_length);
   std::printf("%s\n", render_table2({r.run}).c_str());
@@ -71,60 +31,6 @@ void reproduction() {
   std::printf("reproduced shape: proposed extra (%zu) >= [4] extra (%zu): %s\n",
               r.run.proposed_extra, r.run.baseline_extra,
               r.run.proposed_extra >= r.run.baseline_extra ? "yes" : "NO");
-
-  const Circuit c = circuits::build_benchmark("s5378");
-
-  // Legacy-kernel row: the same circuit and sequence through the
-  // event-driven per-fault engines. This is the before-side of the SoA
-  // kernel speedup, re-measured on this host and build — and a full-scale
-  // kernel-equivalence check: every detection count must be identical.
-  benchutil::heading("Legacy kernel (same sequence, event-driven engines)");
-  RunConfig legacy_config;
-  legacy_config.mot.num_threads = 1;
-  legacy_config.mot.kernel = KernelKind::Legacy;
-  const RunResult legacy = run_circuit(c, r.sequence, legacy_config);
-  const bool legacy_identical =
-      legacy.conv_detected == r.run.conv_detected &&
-      legacy.proposed_extra == r.run.proposed_extra &&
-      legacy.baseline_extra == r.run.baseline_extra &&
-      legacy.baseline_only == r.run.baseline_only;
-  std::printf("legacy %.2fs -> soa %.2fs (speedup %.2fx)\n", legacy.seconds,
-              r.run.seconds,
-              r.run.seconds > 0.0 ? legacy.seconds / r.run.seconds : 0.0);
-  std::printf("detection counts identical across kernels: %s\n",
-              legacy_identical ? "yes" : "NO");
-
-  // Scaling row: the same circuit and sequence through the sharded MOT
-  // dispatch on every hardware thread. Detection counts must not move.
-  benchutil::heading("Thread scaling (same sequence, sharded MOT dispatch)");
-  const bool single_core = benchutil::hardware_threads() <= 1;
-  if (single_core) {
-    std::fprintf(stderr,
-                 "WARNING: this host reports a single hardware thread; the "
-                 "\"parallel\" row below is a second serial measurement and "
-                 "the 1-vs-N speedup is meaningless.\n"
-                 "WARNING: rerun scripts/bench.sh on a multi-core host to get "
-                 "a real thread-scaling row.\n");
-  }
-  RunConfig par_config;
-  par_config.mot.num_threads = 0;  // all hardware threads
-  const RunResult par = run_circuit(c, r.sequence, par_config);
-  const bool identical =
-      par.conv_detected == r.run.conv_detected &&
-      par.proposed_extra == r.run.proposed_extra &&
-      par.baseline_extra == r.run.baseline_extra &&
-      par.baseline_only == r.run.baseline_only;
-  std::printf("threads %zu -> %zu: %.2fs -> %.2fs (speedup %.2fx)\n",
-              r.run.threads, par.threads, r.run.seconds, par.seconds,
-              par.seconds > 0.0 ? r.run.seconds / par.seconds : 0.0);
-  std::printf("detection counts identical across thread counts: %s\n",
-              identical ? "yes" : "NO");
-
-  benchutil::JsonReport report("hitec_s5378");
-  add_json_row(report, legacy, "legacy", /*measures_scaling=*/false);
-  add_json_row(report, r.run, "soa_kernel", /*measures_scaling=*/false);
-  add_json_row(report, par, "soa_kernel", /*measures_scaling=*/true);
-  report.write();
 }
 
 void bm_hitec_generation_small(benchmark::State& state) {

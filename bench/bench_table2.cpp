@@ -62,23 +62,6 @@ void reproduction() {
               proposed_wins);
   std::printf("  rows with extra above the no-implication ceiling of 12: "
               "%zu/%zu\n", above, rows.size());
-
-  benchutil::JsonReport report("table2");
-  for (const RunResult& r : rows) {
-    report.add_row()
-        .add("circuit", r.circuit)
-        .add("threads", static_cast<std::uint64_t>(r.threads))
-        .add("wall_seconds", r.seconds)
-        .add("faults_per_second",
-             r.seconds > 0.0
-                 ? static_cast<double>(r.total_faults) / r.seconds
-                 : 0.0)
-        .add("total_faults", static_cast<std::uint64_t>(r.total_faults))
-        .add("conv_detected", static_cast<std::uint64_t>(r.conv_detected))
-        .add("baseline_extra", static_cast<std::uint64_t>(r.baseline_extra))
-        .add("proposed_extra", static_cast<std::uint64_t>(r.proposed_extra));
-  }
-  report.write();
 }
 
 void bm_run_small_circuit(benchmark::State& state) {

@@ -188,17 +188,16 @@ int run_benchmark_remote_worker(const circuits::BenchmarkProfile& profile,
 }
 
 HitecExperimentResult run_hitec_experiment(const std::string& benchmark_name,
-                                           RunConfig config) {
+                                           const RunConfig& config) {
   const Circuit c = circuits::build_benchmark(benchmark_name);
   const std::vector<Fault> faults = collapsed_fault_list(c);
   HitecLikeParams params;
   params.seed = config.test_seed * 131 + 17;
-  HitecLikeResult gen = generate_hitec_like(c, faults, params);
+  const HitecLikeResult gen = generate_hitec_like(c, faults, params);
 
   HitecExperimentResult out;
   out.sequence_length = gen.sequence.length();
   out.run = run_circuit(c, gen.sequence, config);
-  out.sequence = std::move(gen.sequence);
   return out;
 }
 

@@ -180,12 +180,9 @@ int run_benchmark_remote_worker(const circuits::BenchmarkProfile& profile,
 /// extra detections.
 struct HitecExperimentResult {
   std::size_t sequence_length = 0;
-  /// The generated sequence, so callers can rerun the pipeline on it (e.g.
-  /// the scaling benchmarks) without paying for generation again.
-  TestSequence sequence;
   RunResult run;
 };
 HitecExperimentResult run_hitec_experiment(const std::string& benchmark_name,
-                                           RunConfig config);
+                                           const RunConfig& config);
 
 }  // namespace motsim::experiments

@@ -12,14 +12,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "util/bench_guard.hpp"
 #include "util/byte_channel.hpp"
 #include "util/chaos_proxy.hpp"
 #include "util/cli.hpp"
@@ -309,40 +307,6 @@ TEST(Cli, UnusedReportsUnqueriedFlags) {
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
-}
-
-// --------------------------------------------------------- BenchGuard ----
-
-TEST(BenchGuard, RefusesSingleCoreOverwriteOfMulticoreReport) {
-  const std::string multicore =
-      "{\n  \"bench\": \"x\",\n  \"hardware_threads\": 8,\n"
-      "  \"single_core_host\": false,\n  \"rows\": []\n}\n";
-  EXPECT_TRUE(benchutil::refuse_single_core_overwrite(multicore, true));
-  // A multicore rerun may always overwrite.
-  EXPECT_FALSE(benchutil::refuse_single_core_overwrite(multicore, false));
-}
-
-TEST(BenchGuard, AllowsOverwritingPlaceholderOrMalformedReports) {
-  const std::string single =
-      "{\n  \"single_core_host\": true,\n  \"rows\": []\n}\n";
-  EXPECT_FALSE(benchutil::refuse_single_core_overwrite(single, true));
-  EXPECT_FALSE(benchutil::refuse_single_core_overwrite("", true));
-  EXPECT_FALSE(benchutil::refuse_single_core_overwrite("not json", true));
-  EXPECT_FALSE(
-      benchutil::refuse_single_core_overwrite("{\"rows\": []}", true));
-}
-
-TEST(BenchGuard, FileVariantReadsTheReportOnDisk) {
-  const std::string path = testing::TempDir() + "/bench_guard_test.json";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\n  \"single_core_host\": false,\n  \"rows\": []\n}\n";
-  }
-  EXPECT_TRUE(benchutil::refuse_single_core_overwrite_file(path, true));
-  EXPECT_FALSE(benchutil::refuse_single_core_overwrite_file(path, false));
-  // A missing file never refuses.
-  EXPECT_FALSE(benchutil::refuse_single_core_overwrite_file(
-      testing::TempDir() + "/does_not_exist.json", true));
 }
 
 // ------------------------------------------------------------- Errors ----
