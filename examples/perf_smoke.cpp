@@ -11,11 +11,17 @@
 // full-pipeline equivalence check riding along with the timing.
 //
 // Usage: perf_smoke [min_ratio] [mot_cap]
-// Exit codes: 0 ok, 1 regression or kernel mismatch, 2 setup error.
+// min_ratio is a non-negative decimal (default 1.3), mot_cap a
+// non-negative integer (default 25, 0 = every candidate).
+// Exit codes: 0 ok, 1 regression or kernel mismatch, 2 usage or setup error.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "experiments/experiments.hpp"
+#include "util/strings.hpp"
 
 using namespace motsim;
 using namespace motsim::experiments;
@@ -30,12 +36,39 @@ void print_row(const char* kernel, const RunResult& r) {
       r.conv_detected, r.proposed_extra, r.baseline_extra);
 }
 
+// A plain non-negative decimal such as "1.3": no sign, no whitespace, no
+// trailing characters, finite.
+bool parse_ratio(const char* s, double& out) {
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) && s[0] != '.') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(s, &end);
+  return end != s && *end == '\0' && errno == 0 && std::isfinite(out);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double min_ratio = argc > 1 ? std::strtod(argv[1], nullptr) : 1.3;
-  const std::size_t mot_cap =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 25;
+  double min_ratio = 1.3;
+  std::uint64_t mot_cap = 25;
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: perf_smoke [min_ratio] [mot_cap]\n");
+    return 2;
+  }
+  if (argc > 1 && !parse_ratio(argv[1], min_ratio)) {
+    std::fprintf(stderr,
+                 "error: min_ratio '%s' is not a non-negative decimal\n",
+                 argv[1]);
+    return 2;
+  }
+  if (argc > 2 && !parse_u64(argv[2], mot_cap)) {
+    std::fprintf(stderr,
+                 "error: mot_cap '%s' is not a non-negative integer\n",
+                 argv[2]);
+    return 2;
+  }
 
   const auto* profile = circuits::find_profile("s5378");
   if (profile == nullptr) {
@@ -52,8 +85,8 @@ int main(int argc, char** argv) {
   RunConfig legacy_config = soa_config;
   legacy_config.mot.kernel = KernelKind::Legacy;
 
-  std::printf("perf smoke: s5378 slice, mot_cap=%zu, min mot-stage ratio %.2f\n",
-              mot_cap, min_ratio);
+  std::printf("perf smoke: s5378 slice, mot_cap=%llu, min mot-stage ratio "
+              "%.2f\n", static_cast<unsigned long long>(mot_cap), min_ratio);
   const RunResult soa = run_benchmark(*profile, soa_config);
   print_row("soa", soa);
   const RunResult legacy = run_benchmark(*profile, legacy_config);
