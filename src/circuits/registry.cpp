@@ -39,7 +39,7 @@ std::vector<BenchmarkProfile> make_suite() {
   s.push_back({"s1423", profile("s1423", 17, 5, 74, 657, 14231, 0.03), 150, false});
   s.push_back({"s5378", profile("s5378", 35, 49, 179, 2779, 53781, 0.06), 200, false});
   // Heavy circuits: shorter sequences keep the (cache-bound) parallel
-  // simulation of the full fault universe tractable.
+  // simulation of the full fault universe tractable on one core.
   s.push_back({"s15850", profile("s15850", 77, 150, 534, 9772, 158501, 0.75), 100, true});
   s.push_back({"s35932", profile("s35932", 35, 320, 1728, 16065, 359321, 0.04), 100, true});
   s.push_back({"am2910", profile("am2910", 20, 16, 87, 900, 29101, 0.02), 200, false});
