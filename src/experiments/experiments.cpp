@@ -61,7 +61,7 @@ RunResult run_circuit(const Circuit& c, const TestSequence& test,
   const auto prepass_start = Clock::now();
   const ParallelFaultSimulator pfs(c);
   const std::vector<ConvOutcome> conv =
-      pfs.run(test, good, faults, result.threads);
+      pfs.run(test, good, faults, result.threads, &result.prepass_stats);
   result.seconds_prepass = seconds_since(prepass_start);
 
   std::vector<std::size_t> candidates;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "circuits/registry.hpp"
+#include "faultsim/parallel.hpp"
 #include "faultsim/remote.hpp"
 #include "faultsim/supervisor.hpp"
 #include "mot/baseline.hpp"
@@ -150,6 +151,9 @@ struct RunResult {
   /// batch (proposed + baseline engines).
   double seconds_prepass = 0.0;
   double seconds_mot = 0.0;
+  /// Work counts of the pre-pass (diagnostics, identical for every thread
+  /// count; no report or journal carries them).
+  PrepassStats prepass_stats;
 };
 
 /// Runs the full pipeline on an explicit circuit + test sequence.

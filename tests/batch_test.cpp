@@ -239,6 +239,10 @@ TEST(Experiments, RunCircuitThreadCountInvariant) {
   EXPECT_EQ(par.avg_det, serial.avg_det);
   EXPECT_EQ(par.avg_conf, serial.avg_conf);
   EXPECT_EQ(par.avg_extra, serial.avg_extra);
+  EXPECT_GT(serial.prepass_stats.gates_evaluated, 0u);
+  EXPECT_EQ(par.prepass_stats.group_frames, serial.prepass_stats.group_frames);
+  EXPECT_EQ(par.prepass_stats.gates_evaluated,
+            serial.prepass_stats.gates_evaluated);
 }
 
 }  // namespace
