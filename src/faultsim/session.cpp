@@ -20,9 +20,8 @@ ParallelFaultSession::ParallelFaultSession(const Circuit& circuit,
     Group g;
     g.first = base;
     g.count = std::min(kGroup, faults.size() - base);
-    g.state.resize(circuit.num_dffs());
     scratch_.load(faults.data() + base, g.count);
-    scratch_.initial_state(g.state.data());
+    scratch_.initial_state(good_state_.data(), g.state);
     groups_.push_back(std::move(g));
   }
 }
@@ -39,8 +38,10 @@ void ParallelFaultSession::apply(const TestSequence& segment) {
     for (std::size_t k = 0; k < c.num_inputs(); ++k) {
       good_vals_[c.inputs()[k]] = segment.at(u, k);
     }
+    std::size_t x_states = 0;
     for (std::size_t k = 0; k < c.num_dffs(); ++k) {
       good_vals_[c.dffs()[k]] = good_state_[k];
+      x_states += good_state_[k] == Val::X;
     }
     sim.eval_frame(good_vals_, fault_free);
     for (std::size_t k = 0; k < c.num_dffs(); ++k) {
@@ -50,7 +51,7 @@ void ParallelFaultSession::apply(const TestSequence& segment) {
     for (Group& g : groups_) {
       scratch_.load(faults_->data() + g.first, g.count);
       const std::uint64_t newly =
-          scratch_.step(good_vals_.data(), g.state.data()).detected;
+          scratch_.step(good_vals_.data(), x_states, g.state).detected;
       for (std::size_t s = 0; s < g.count; ++s) {
         if (((newly >> s) & 1) && !detected_[g.first + s]) {
           detected_[g.first + s] = 1;

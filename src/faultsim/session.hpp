@@ -7,9 +7,11 @@
 // on a fork, keep the winner, never resimulate the prefix.
 //
 // Each frame advances the fault-free machine once and then every group
-// through the same divergence-overlay group step as ParallelFaultSimulator
-// (GroupScratch), with the fault-free frame as the reference, so only the
-// gates where a group differs from the fault-free machine are evaluated.
+// through the same sparse group step as ParallelFaultSimulator
+// (GroupScratch), with the fault-free frame as the reference: a group's
+// state lists only the flip-flops where it differs from the fault-free
+// machine, and only the gates where it differs are evaluated. A clone copies
+// those short lists, not a packed value per flip-flop and group.
 //
 // apply() is semantically equivalent to running ParallelFaultSimulator over
 // the concatenation of every segment applied so far (asserted by tests).
@@ -50,7 +52,7 @@ class ParallelFaultSession {
   struct Group {
     std::size_t first = 0;  ///< index of the group's first fault
     std::size_t count = 0;
-    std::vector<PVal> state;  ///< per flip-flop
+    GroupState state;
   };
 
   const Circuit* circuit_;
