@@ -10,6 +10,12 @@ PackedFrameImplicator::PackedFrameImplicator(const Circuit& c)
     : circuit_(&c), lev_(&c.levelized()) {
   in_queue_.assign(c.num_gates(), 0);
   queue_.resize(c.num_gates());
+  out_slot_.assign(c.num_gates(), kNoOutput);
+  for (const GateId g : c.outputs()) {
+    if (out_slot_[g] != kNoOutput) continue;
+    out_slot_[g] = static_cast<std::uint32_t>(out_gates_.size());
+    out_gates_.push_back(g);
+  }
 }
 
 void PackedFrameImplicator::refine_line(GateId line, std::uint64_t ones,
@@ -293,11 +299,11 @@ void PackedFrameImplicator::bind(const SeqTrace& good, const SeqTrace& faulty,
                                  std::span<const std::uint32_t> frames) {
   assert(frames.size() <= 64);
   const std::size_t ng = circuit_->num_gates();
-  const std::size_t no = circuit_->outputs().size();
+  const auto outputs = circuit_->outputs();
   trail_.clear();
   pframe_.assign(ng, PVal{});
-  good_one_.assign(no, 0);
-  good_zero_.assign(no, 0);
+  good_one_.assign(out_gates_.size(), 0);
+  good_zero_.assign(out_gates_.size(), 0);
   for (std::size_t l = 0; l < frames.size(); ++l) {
     const Val* line = faulty.lines[frames[l]].data();
     assert(faulty.lines[frames[l]].size() == ng);
@@ -306,11 +312,17 @@ void PackedFrameImplicator::bind(const SeqTrace& good, const SeqTrace& faulty,
       pframe_[g].zeros |= std::uint64_t{line[g] == Val::Zero} << l;
     }
     const std::vector<Val>& out = good.outputs[frames[l]];
-    assert(out.size() == no);
-    for (std::size_t o = 0; o < no; ++o) {
-      good_one_[o] |= std::uint64_t{out[o] == Val::One} << l;
-      good_zero_[o] |= std::uint64_t{out[o] == Val::Zero} << l;
+    assert(out.size() == outputs.size());
+    for (std::size_t o = 0; o < outputs.size(); ++o) {
+      const std::uint32_t s = out_slot_[outputs[o]];
+      good_one_[s] |= std::uint64_t{out[o] == Val::One} << l;
+      good_zero_[s] |= std::uint64_t{out[o] == Val::Zero} << l;
     }
+  }
+  bound_detected_ = 0;
+  for (std::size_t s = 0; s < out_gates_.size(); ++s) {
+    const PVal& pv = pframe_[out_gates_[s]];
+    bound_detected_ |= (good_one_[s] & pv.zeros) | (good_zero_[s] & pv.ones);
   }
 }
 
@@ -397,12 +409,14 @@ PackedFrameImplicator::Outcome PackedFrameImplicator::run(std::uint64_t lanes,
   }
 
   // Detection check for the lanes that propagated to quiescence, each
-  // against its own frame's fault-free outputs (X there never detects).
-  const auto outputs = circuit_->outputs();
-  std::uint64_t det = 0;
-  for (std::size_t o = 0; o < outputs.size(); ++o) {
-    const PVal& pv = pframe_[outputs[o]];
-    det |= (good_one_[o] & pv.zeros) | (good_zero_[o] & pv.ones);
+  // against its own frame's fault-free outputs (X there never detects). An
+  // output off the trail holds its bound value, already in bound_detected_.
+  std::uint64_t det = bound_detected_;
+  for (const Change& ch : trail_) {
+    const std::uint32_t s = out_slot_[ch.line];
+    if (s == kNoOutput) continue;
+    const PVal& pv = pframe_[ch.line];
+    det |= (good_one_[s] & pv.zeros) | (good_zero_[s] & pv.ones);
   }
   return {conflict_, det & live_};
 }

@@ -32,7 +32,10 @@
 //     queue is still empty only when every gate is at its fixpoint, so the
 //     result is unchanged.
 //   * The detection check compares each lane against its own frame's
-//     fault-free output row (per-output lane masks built by bind()).
+//     fault-free output row (per-output lane masks built by bind()). Values
+//     only ever refine, so the check reads the lanes the bound frames
+//     already detect (found once per bind) plus the outputs on the run's
+//     trail, not every output.
 //
 // The bound frames are never mutated: lanes are gathered into a packed
 // frame once per bind, and each run unwinds the previous run's trail.
@@ -76,6 +79,15 @@ class PackedFrameImplicator {
   /// Ok lanes.
   const PVal& packed_value(GateId line) const { return pframe_[line]; }
 
+  /// One line write of a run: the line and its value before the write.
+  struct Change {
+    GateId line;
+    PVal old;
+  };
+  /// Every write of the last run (seed included), in order; a line may
+  /// appear more than once. Lines not on it still hold their bound values.
+  std::span<const Change> changes() const { return trail_; }
+
  private:
   /// Packed forward step at g (serial forward_at for every live lane).
   void forward_at(const FaultView& fv, GateId g);
@@ -107,15 +119,17 @@ class PackedFrameImplicator {
   const Circuit* circuit_;
   const LevelizedCircuit* lev_;
   std::vector<PVal> pframe_;           // bound frames, lane l = frames[l]
-  std::vector<std::uint64_t> good_one_, good_zero_;  // per-PO fault-free lanes
+  static constexpr std::uint32_t kNoOutput = ~std::uint32_t{0};
+  std::vector<GateId> out_gates_;      // distinct primary-output gates
+  std::vector<std::uint32_t> out_slot_;  // gate -> index in out_gates_
+  /// Per distinct output gate: lanes whose fault-free value is 1 / 0 at
+  /// that gate in some output position.
+  std::vector<std::uint64_t> good_one_, good_zero_;
+  std::uint64_t bound_detected_ = 0;   // lanes the bound frames detect
   std::uint64_t live_ = 0;             // lanes still propagating
   std::uint64_t conflict_ = 0;         // lanes that hit a conflict
-  /// Every line change of the last run, in order, with the line's value
-  /// before it; the next run unwinds it back to the bound frames.
-  struct Change {
-    GateId line;
-    PVal old;
-  };
+  /// Every line change of the last run; the next run unwinds it back to
+  /// the bound frames.
   std::vector<Change> trail_;
   std::vector<PVal> pins_;             // per-gate pin value scratch
   std::vector<std::uint64_t> pin_x_;   // per-pin X-lane masks

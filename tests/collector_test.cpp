@@ -523,5 +523,91 @@ TEST(CollectorScale, PrimaryInputDrivenDPinAgrees) {
   EXPECT_GT(cov.pi_driven_detect, 0u);
 }
 
+TEST(CollectorScale, SharedDPinDriverAgrees) {
+  // g = NAND(a, q3) drives the D pins of both q1 and q2, so one implied line
+  // extends two flip-flops' extra() sets at once; q3 = DFF(q1) chains them.
+  // Every fault of the uncollapsed list, D-pin faults on q1 and q2
+  // included.
+  CircuitBuilder b("shared_d");
+  const GateId a = b.add_input("a");
+  const GateId in_b = b.add_input("b");
+  const GateId q1 = b.declare("q1");
+  const GateId q2 = b.declare("q2");
+  const GateId q3 = b.declare("q3");
+  const GateId g = b.add_gate(GateType::Nand, "g", {a, q3});
+  b.define(q1, GateType::Dff, {g});
+  b.define(q2, GateType::Dff, {g});
+  b.define(q3, GateType::Dff, {q1});
+  b.mark_output(b.add_gate(GateType::Xor, "z", {q2, in_b}));
+  b.mark_output(b.add_gate(GateType::And, "y", {q1, q3, in_b}));
+  const Circuit c = b.build_or_throw();
+  const TestSequence test =
+      seq({"x1", "1x", "x0", "01", "x1", "11", "xx", "10", "x1", "01"});
+  const SeqTrace legacy_good =
+      SequentialSimulator(c, KernelKind::Legacy).run_fault_free(test, true);
+  const SeqTrace soa_good =
+      SequentialSimulator(c, KernelKind::SoA).run_fault_free(test, true);
+  Coverage cov;
+  std::size_t both_d_pins = 0;
+  for (const Fault& f : enumerate_faults(c)) {
+    SCOPED_TRACE(fault_name(c, f));
+    const CollectionResult r =
+        compare_collectors(c, test, legacy_good, soa_good, f, cov);
+    for (const PairInfo& p : r.pairs) {
+      for (int side = 0; side < 2; ++side) {
+        std::size_t hits = 0;
+        for (const auto& [j, v] : r.extra(p, side)) {
+          (void)v;
+          hits += j == 0 || j == 1;
+        }
+        both_d_pins += p.u > 0 && hits == 2;
+      }
+    }
+  }
+  EXPECT_GT(cov.pairs, 0u);
+  EXPECT_EQ(cov.d_pin_faults, 6u);
+  EXPECT_GT(both_d_pins, 0u);
+}
+
+TEST(CollectorScale, StateLeftUnknownBesideASpecifiedDPinAgrees) {
+  // Each fault's trace is edited so that one state y_j at a probed time
+  // unit u is X although its D pin is specified at u - 1. The probes read
+  // that D pin as it stands, so y_j enters every Ok probe's extra() set at
+  // u without any implication writing it; serial and packed agree on that
+  // too.
+  const Circuit c = circuits::make_s27();
+  Rng rng(27);
+  const TestSequence test = random_sequence(c.num_inputs(), 12, rng);
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(test, true);
+  MotOptions serial_opt, packed_opt;
+  serial_opt.kernel = KernelKind::Legacy;
+  packed_opt.kernel = KernelKind::SoA;
+  std::size_t edited = 0;
+  for (const Fault& f : enumerate_faults(c)) {
+    SCOPED_TRACE(fault_name(c, f));
+    SeqTrace faulty = ConventionalFaultSimulator(c).simulate_fault(
+        test, f, /*keep_lines=*/true, &good);
+    const std::vector<std::size_t> nout = count_nout(good, faulty);
+    bool done = false;
+    for (std::size_t u = 1; u <= test.length() && !done; ++u) {
+      if (nout[u - 1] == 0) continue;
+      for (std::size_t j = 0; j < c.num_dffs() && !done; ++j) {
+        if (!is_specified(faulty.states[u][j])) continue;
+        faulty.states[u][j] = Val::X;
+        done = true;
+      }
+    }
+    edited += done;
+    SeqTrace copy = faulty;
+    const FaultView fv(c, f);
+    const CollectionResult want =
+        BackwardCollector(c, serial_opt).collect(good, faulty, fv);
+    const CollectionResult got =
+        BackwardCollector(c, packed_opt).collect(good, copy, fv);
+    expect_same_collection(want, got);
+  }
+  EXPECT_GT(edited, 0u);
+}
+
 }  // namespace
 }  // namespace motsim

@@ -9,6 +9,7 @@
 #include "circuits/generator.hpp"
 #include "mot/implicator.hpp"
 #include "mot/packed_implicator.hpp"
+#include "netlist/builder.hpp"
 #include "testgen/random_gen.hpp"
 
 namespace motsim {
@@ -249,6 +250,61 @@ TEST(PackedImplicator, LaneWhoseGoodOutputIsXNeverDetects) {
       EXPECT_EQ(out.conflict, 0u);
       EXPECT_EQ(out.detected, v == Val::One ? 0b001u : 0b100u);
       EXPECT_EQ(pv_get(packed.packed_value(c.find("G17")), 1), v_not(v));
+    }
+  }
+}
+
+TEST(PackedImplicator, DetectionReadsTheBoundFrameAndEveryOutputPosition) {
+  // z = AND(a, b) drives the first and third output positions, y = OR(a, b)
+  // the second. Lane 0's frame already shows z = 1 against a fault-free 0,
+  // so it detects even when the seed writes nothing (a = 1 holds in both
+  // frames). In lane 1 the seed b = 1 implies z = 1, compared against X at
+  // z's first position and 0 at its third. Every probe of every lane equals
+  // a serial probe of its own frame.
+  CircuitBuilder b("po_twice");
+  const GateId a = b.add_input("a");
+  const GateId in_b = b.add_input("b");
+  const GateId z = b.add_gate(GateType::And, "z", {a, in_b});
+  const GateId y = b.add_gate(GateType::Or, "y", {a, in_b});
+  b.mark_output(z);
+  b.mark_output(y);
+  b.mark_output(z);
+  const Circuit c = b.build_or_throw();
+  SeqTrace faulty;
+  faulty.lines.assign(2, FrameVals(c.num_gates(), Val::X));
+  for (const GateId g : {a, in_b, z, y}) faulty.lines[0][g] = Val::One;
+  faulty.lines[1][a] = faulty.lines[1][y] = Val::One;
+  SeqTrace good;
+  good.outputs = {{Val::Zero, Val::One, Val::Zero},
+                  {Val::X, Val::One, Val::Zero}};
+  const std::uint32_t frames[] = {0, 1};
+  PackedFrameImplicator packed(c);
+  packed.bind(good, faulty, frames);
+  FrameImplicator serial(c);
+  const FaultView fv(c);
+  for (const ImplMode mode : {ImplMode::TwoPass, ImplMode::Fixpoint}) {
+    for (const GateId seed_line : {a, in_b}) {
+      for (const Val v : {Val::Zero, Val::One}) {
+        const PackedFrameImplicator::Outcome out =
+            packed.run(0b11, seed_line, v, fv, mode);
+        if (v == Val::One) {
+          EXPECT_EQ(out.conflict, 0u);
+          EXPECT_EQ(out.detected, seed_line == a ? 0b01u : 0b11u);
+        }
+        for (unsigned l = 0; l < 2; ++l) {
+          FrameVals vals = faulty.lines[l];
+          const std::pair<GateId, Val> seed{seed_line, v};
+          const ImplOutcome want =
+              serial.run(vals, fv, good.outputs[l], {&seed, 1}, mode);
+          const ImplOutcome got =
+              (out.conflict >> l) & 1   ? ImplOutcome::Conflict
+              : (out.detected >> l) & 1 ? ImplOutcome::Detected
+                                        : ImplOutcome::Ok;
+          EXPECT_EQ(want, got) << c.gate(seed_line).name << " = "
+                               << (v == Val::One) << ", lane " << l;
+          serial.undo(vals);
+        }
+      }
     }
   }
 }
