@@ -12,8 +12,6 @@ namespace motsim {
 
 namespace {
 
-constexpr std::size_t kGroup = 63;  // slot 63 carries the fault-free machine
-
 constexpr std::uint8_t kPo = 1;      // the gate is a primary output
 constexpr std::uint8_t kDriver = 2;  // the gate drives a D pin
 
@@ -49,11 +47,17 @@ void run_group(const Reference& ref, const Fault* faults, std::size_t n_faults,
         scratch.step(ref.frames[u], ref.x_states[u], state);
     x_state |= m.x_state;
     passes_c |= m.x_output & x_state;
-    detected |= m.detected;
-    // Drop-on-detect: once every fault in the group is detected the later
-    // frames cannot change any outcome — detection is sticky and condition
-    // (C) is only consulted for undetected faults.
-    if ((detected & group_mask) == group_mask) break;
+    // Drop-on-detect: later frames cannot change a detected fault's outcome
+    // (detection is sticky and condition (C) is only consulted for
+    // undetected faults), so its slot is dropped, and the group stops once
+    // every slot is detected.
+    const std::uint64_t newly = m.detected & group_mask & ~detected;
+    detected |= newly;
+    if (detected == group_mask) break;
+    if (newly) {
+      scratch.load(faults, n_faults, ~detected);
+      scratch.heal(newly, ref.frames[u], state);
+    }
   }
 
   for (unsigned s = 0; s < n_faults; ++s) {
@@ -137,12 +141,14 @@ GroupScratch::GroupScratch(const Circuit& c)
   }
 }
 
-void GroupScratch::load(const Fault* faults, std::size_t n) {
-  assert(n <= kGroup);
+void GroupScratch::load(const Fault* faults, std::size_t n,
+                        std::uint64_t live) {
+  assert(n <= kSlots);
   for (const Site& site : sites_) site_of_[site.gate] = 0;
   sites_.clear();
   pin_force_.clear();
   for (unsigned s = 0; s < n; ++s) {
+    if (!((live >> s) & 1)) continue;
     const Fault& f = faults[s];
     if (site_of_[f.gate] == 0) {
       const auto k = circuit_->dff_index(f.gate);
@@ -174,6 +180,16 @@ void GroupScratch::initial_state(const Val* good_state,
       state.push_back({static_cast<std::uint32_t>(k), v});
     }
   }
+}
+
+void GroupScratch::heal(std::uint64_t slots, const Val* ref,
+                        GroupState& state) const {
+  std::erase_if(state, [&](StateEntry& e) {
+    const PVal good = pv_splat(ref[lv_->dff_input(e.dff)]);
+    e.value = PVal{(e.value.ones & ~slots) | (good.ones & slots),
+                   (e.value.zeros & ~slots) | (good.zeros & slots)};
+    return e.value == good;
+  });
 }
 
 GroupScratch::FrameMasks GroupScratch::step(const Val* ref,
@@ -315,6 +331,7 @@ std::vector<ConvOutcome> ParallelFaultSimulator::run(
     }
   }
 
+  constexpr std::size_t kGroup = GroupScratch::kSlots;
   const std::size_t n_groups = (faults.size() + kGroup - 1) / kGroup;
   const std::size_t threads =
       std::min(n_groups, resolve_thread_count(num_threads));

@@ -14,7 +14,11 @@
 // - detection and the next state read only the primary outputs and D-pin
 //   drivers that diverged, plus the faulted flip-flops;
 // - fault effects are applied as per-slot force masks on a faulted gate's
-//   pins and output, so one packed evaluation serves every fault there.
+//   pins and output, so one packed evaluation serves every fault there;
+// - a fault is dropped from its group once it is detected: its slot loses
+//   its force masks and takes the fault-free state, so its lanes never
+//   diverge again and its gates leave the sweep (a group whose every slot
+//   is detected stops altogether).
 //
 // Semantically identical to ConventionalFaultSimulator (asserted by the
 // faultsim tests); used as the fast pre-pass that classifies the whole
@@ -66,11 +70,20 @@ using GroupState = std::vector<StateEntry>;
 /// the buffers have grown.
 class GroupScratch {
  public:
+  static constexpr std::size_t kSlots = 63;  ///< faulty machines per group
+
   explicit GroupScratch(const Circuit& c);
 
-  /// Makes faults[0..n) the group (n <= 63). Costs O(n) plus the fanin
-  /// counts of the pin-faulted gates.
-  void load(const Fault* faults, std::size_t n);
+  /// Makes faults[0..n) the group (n <= 63), forcing only the slots in
+  /// `live`: a slot outside it carries the fault-free machine. Costs O(n)
+  /// plus the fanin counts of the pin-faulted gates.
+  void load(const Fault* faults, std::size_t n, std::uint64_t live = ~0ull);
+
+  /// Gives the lanes of `slots` in the next state `state`, as left by step()
+  /// on frame `ref`, the fault-free next state; an entry that then equals it
+  /// leaves the list. With load() leaving `slots` out, this drops them: they
+  /// follow the fault-free machine from the next frame on.
+  void heal(std::uint64_t slots, const Val* ref, GroupState& state) const;
 
   /// Writes the group's initial state: all X except stem-stuck flip-flop
   /// outputs, listed against the fault-free initial state `good_state`

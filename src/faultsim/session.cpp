@@ -1,25 +1,21 @@
 #include "faultsim/session.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "fault/fault_view.hpp"
 
 namespace motsim {
 
-namespace {
-constexpr std::size_t kGroup = 63;
-}  // namespace
-
 ParallelFaultSession::ParallelFaultSession(const Circuit& circuit,
                                            const std::vector<Fault>& faults)
     : circuit_(&circuit), faults_(&faults), scratch_(circuit) {
-  detected_.assign(faults.size(), 0);
   good_state_.assign(circuit.num_dffs(), Val::X);
-  for (std::size_t base = 0; base < faults.size(); base += kGroup) {
+  for (std::size_t base = 0; base < faults.size();
+       base += GroupScratch::kSlots) {
     Group g;
-    g.first = base;
-    g.count = std::min(kGroup, faults.size() - base);
+    g.count = std::min(GroupScratch::kSlots, faults.size() - base);
     scratch_.load(faults.data() + base, g.count);
     scratch_.initial_state(good_state_.data(), g.state);
     groups_.push_back(std::move(g));
@@ -47,17 +43,22 @@ void ParallelFaultSession::apply(const TestSequence& segment) {
     for (std::size_t k = 0; k < c.num_dffs(); ++k) {
       good_state_[k] = good_vals_[c.dff_input(k)];
     }
-    // Advance every faulty machine against that frame.
-    for (Group& g : groups_) {
-      scratch_.load(faults_->data() + g.first, g.count);
+    // Advance every group with an undetected fault against that frame; a
+    // detected slot is dropped (not loaded, and healed to the fault-free
+    // state), so a fully detected group holds the fault-free machine.
+    for (std::size_t i = 0; i < groups_.size(); ++i) {
+      Group& g = groups_[i];
+      const std::uint64_t all = (1ull << g.count) - 1;
+      if (g.detected == all) continue;
+      scratch_.load(faults_->data() + i * GroupScratch::kSlots, g.count,
+                    ~g.detected);
       const std::uint64_t newly =
-          scratch_.step(good_vals_.data(), x_states, g.state).detected;
-      for (std::size_t s = 0; s < g.count; ++s) {
-        if (((newly >> s) & 1) && !detected_[g.first + s]) {
-          detected_[g.first + s] = 1;
-          ++detected_count_;
-        }
-      }
+          scratch_.step(good_vals_.data(), x_states, g.state).detected &
+          all & ~g.detected;
+      if (newly == 0) continue;
+      g.detected |= newly;
+      detected_count_ += std::popcount(newly);
+      scratch_.heal(newly, good_vals_.data(), g.state);
     }
     ++length_;
   }

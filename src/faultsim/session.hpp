@@ -13,10 +13,16 @@
 // machine, and only the gates where it differs are evaluated. A clone copies
 // those short lists, not a packed value per flip-flop and group.
 //
+// Each group keeps the mask of its detected slots. A detected fault is
+// dropped: the group loads only its live slots and its state takes the
+// fault-free value in the detected lanes, so those lanes cost nothing in
+// later frames, and a group whose every slot is detected is skipped.
+//
 // apply() is semantically equivalent to running ParallelFaultSimulator over
 // the concatenation of every segment applied so far (asserted by tests).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -42,16 +48,18 @@ class ParallelFaultSession {
   /// Faults conventionally detected by everything applied so far.
   std::size_t detected_count() const { return detected_count_; }
   bool is_detected(std::size_t fault_index) const {
-    return detected_[fault_index] != 0;
+    const Group& g = groups_[fault_index / GroupScratch::kSlots];
+    return (g.detected >> (fault_index % GroupScratch::kSlots)) & 1;
   }
 
   /// Total number of patterns applied.
   std::size_t length() const { return length_; }
 
  private:
+  /// Faults [i * 63, i * 63 + count) of the list, for group i.
   struct Group {
-    std::size_t first = 0;  ///< index of the group's first fault
     std::size_t count = 0;
+    std::uint64_t detected = 0;  ///< slot s: fault i * 63 + s is detected
     GroupState state;
   };
 
@@ -59,7 +67,6 @@ class ParallelFaultSession {
   const std::vector<Fault>* faults_;
   std::vector<Group> groups_;
   std::vector<Val> good_state_;    // fault-free machine state
-  std::vector<char> detected_;     // per fault
   std::size_t detected_count_ = 0;
   std::size_t length_ = 0;
   // Scratch (excluded from the logical state).

@@ -433,8 +433,11 @@ TEST(ParallelOverlay, LoneFlipFlopStuckHasNoUnspecifiedState) {
 // sparse state lists each flip-flop at most once and only where it differs
 // from the fault-free state, its expansion is every slot's serial state
 // (spare slots carry the fault-free machine), and the frame masks are the
-// serial X states, conflicts and X outputs of every slot.
-void expect_group_step_matches_serial(const Circuit& c, const TestSequence& t) {
+// serial X states, conflicts and X outputs of every slot. With `drop`, each
+// newly detected slot is dropped after its frame, as run() does, and from
+// the next frame on it must carry the fault-free machine.
+void expect_group_step_matches_serial(const Circuit& c, const TestSequence& t,
+                                      bool drop = false) {
   const auto faults = enumerate_faults(c);
   const SequentialSimulator sim(c);
   const SeqTrace good = sim.run_fault_free(t, /*keep_lines=*/true);
@@ -452,6 +455,7 @@ void expect_group_step_matches_serial(const Circuit& c, const TestSequence& t) {
     }
     scratch.load(faults.data() + base, n);
     scratch.initial_state(good.states[0].data(), state);
+    std::uint64_t live = (1ull << n) - 1;
     for (std::size_t u = 0;; ++u) {
       std::vector<PVal> dense(c.num_dffs());
       std::vector<char> listed(c.num_dffs(), 0);
@@ -487,6 +491,14 @@ void expect_group_step_matches_serial(const Circuit& c, const TestSequence& t) {
         EXPECT_EQ((m.detected >> s) & 1, detected) << "u=" << u << " s=" << s;
         EXPECT_EQ((m.x_output >> s) & 1, x_output) << "u=" << u << " s=" << s;
       }
+      const std::uint64_t newly = m.detected & live;
+      if (!drop || newly == 0) continue;
+      live &= ~newly;
+      scratch.load(faults.data() + base, n, live);
+      scratch.heal(newly, good.lines[u].data(), state);
+      for (unsigned s = 0; s < n; ++s) {
+        if ((newly >> s) & 1) slot[s] = &good;
+      }
     }
   }
 }
@@ -506,6 +518,162 @@ TEST(GroupStep, SparseStateAndMasksMatchSerialTraces) {
   Rng rng(90);
   expect_group_step_matches_serial(
       consts, random_sequence_with_x(consts.num_inputs(), 16, 0.2, rng));
+}
+
+// ------------------------------------------------------ fault dropping ----
+//
+// A detected fault is dropped from its group: its slot loses its force
+// masks and takes the fault-free state. These cases pin dropping against
+// the serial reference on a stimulus that detects most faults early.
+
+// The frame at which `f` first conflicts with the fault-free outputs, or
+// t.length() when it never does.
+std::size_t first_detection(const Circuit& c, const TestSequence& t,
+                            const SeqTrace& good, const Fault& f) {
+  const SeqTrace faulty = SequentialSimulator(c).run(t, FaultView(c, f));
+  for (std::size_t u = 0; u < t.length(); ++u) {
+    for (std::size_t o = 0; o < c.num_outputs(); ++o) {
+      if (conflicts(good.outputs[u][o], faulty.outputs[u][o])) return u;
+    }
+  }
+  return t.length();
+}
+
+// A generated circuit with many outputs and no uninitializable flip-flop,
+// plus a flip-flop loaded from a primary input that has other readers, so
+// that flip-flop carries D-pin faults beside its Q-stem faults.
+Circuit observable_generated() {
+  circuits::GeneratorParams p;
+  p.name = "drop";
+  p.seed = 12;
+  p.num_inputs = 5;
+  p.num_outputs = 6;
+  p.num_dffs = 5;
+  p.num_comb_gates = 40;
+  p.uninit_fraction = 0.0;
+  const Circuit base = circuits::generate(p);
+  const std::string a = base.gate(base.inputs()[0]).name;
+  const std::string b = base.gate(base.inputs()[1]).name;
+  BenchParseResult r = parse_bench(write_bench(base) +
+                                       "OUTPUT(dz)\n"
+                                       "dq = DFF(" + a + ")\n"
+                                       "dz = XOR(dq, " + b + ")\n",
+                                   "drop");
+  if (!r.ok) ADD_FAILURE() << r.error;
+  return std::move(r.circuit);
+}
+
+TEST(FaultDropping, MatchesSerialWhenMostFaultsAreDetectedEarly) {
+  const Circuit c = observable_generated();
+  const SequentialSimulator sim(c);
+  // Cut a random sequence after the last frame that first detects a fault,
+  // so some fault is detected in the last frame.
+  Rng rng(112);
+  TestSequence t = random_sequence(c.num_inputs(), 30, rng);
+  const auto all = enumerate_faults(c);  // D-pin and Q-stem faults too
+  std::size_t last = 0;
+  {
+    const SeqTrace good = sim.run_fault_free(t);
+    for (const Fault& f : all) {
+      const std::size_t u = first_detection(c, t, good, f);
+      if (u < t.length()) last = std::max(last, u);
+    }
+  }
+  TestSequence cut(t.num_inputs(), 0);
+  for (std::size_t u = 0; u <= last; ++u) cut.append(t.pattern(u));
+  t = cut;
+  const SeqTrace good = sim.run_fault_free(t, /*keep_lines=*/true);
+  const auto serial_all = ConventionalFaultSimulator(c).run(t, good, all);
+
+  // Group 0: the first 63 detected faults, so it is fully detected; the
+  // rest keep their order and form partly detected groups.
+  std::vector<Fault> faults, rest;
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    (serial_all[k].detected && faults.size() < 63 ? faults : rest)
+        .push_back(all[k]);
+  }
+  ASSERT_EQ(faults.size(), 63u);
+  faults.insert(faults.end(), rest.begin(), rest.end());
+  ASSERT_GT(faults.size(), 126u);
+
+  const auto serial = expect_matches_serial(c, t, good, faults, 1);
+  expect_matches_serial(c, t, good, faults, 4);
+  const std::vector<bool> session = session_detections(c, t, faults);
+  std::vector<std::size_t> when(faults.size());
+  std::size_t detected = 0, early = 0;
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    EXPECT_EQ(session[k], serial[k].detected) << fault_name(c, faults[k]);
+    when[k] = first_detection(c, t, good, faults[k]);
+    detected += serial[k].detected;
+    early += when[k] < t.length() / 4;
+  }
+
+  // The stimulus covers the shapes dropping must get right.
+  EXPECT_GT(2 * early, faults.size()) << "most faults are detected early";
+  EXPECT_TRUE(std::ranges::any_of(when,
+                                  [&](std::size_t u) { return u == last; }));
+  const auto group_detected = [&](std::size_t g) {
+    std::size_t n = 0;
+    for (std::size_t k = g * 63; k < std::min(faults.size(), g * 63 + 63); ++k) {
+      n += serial[k].detected;
+    }
+    return n;
+  };
+  EXPECT_EQ(group_detected(0), 63u);
+  EXPECT_GT(group_detected(1), 0u);
+  EXPECT_LT(group_detected(1), 63u);
+  const auto detected_fault = [&](auto pred) {
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      if (serial[k].detected && pred(faults[k])) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(detected_fault([&](const Fault& f) {
+    return f.pin == kOutputPin && c.gate(f.gate).type == GateType::Input;
+  })) << "a primary-input stem fault is dropped";
+  bool dff_pair = false;
+  for (GateId q : c.dffs()) {
+    dff_pair |= detected_fault([&](const Fault& f) {
+                  return f.gate == q && f.pin == kOutputPin;
+                }) &&
+                detected_fault([&](const Fault& f) {
+                  return f.gate == q && f.pin != kOutputPin;
+                });
+  }
+  EXPECT_TRUE(dff_pair) << "one flip-flop's D-pin and Q-stem faults dropped";
+  // A detected pin fault sharing its gate, within its group, with a fault
+  // detected later and with one never detected.
+  bool later = false, never = false;
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    if (!serial[k].detected || faults[k].pin == kOutputPin) continue;
+    const std::size_t g0 = k / 63 * 63;
+    for (std::size_t j = g0; j < std::min(faults.size(), g0 + 63); ++j) {
+      if (faults[j].gate != faults[k].gate || j == k) continue;
+      later |= serial[j].detected && when[j] > when[k];
+      never |= !serial[j].detected;
+    }
+  }
+  EXPECT_TRUE(later);
+  EXPECT_TRUE(never);
+  EXPECT_GT(detected, 0u);
+}
+
+TEST(FaultDropping, GroupStepCarriesDroppedSlotsFaultFree) {
+  Rng rng(112);
+  const Circuit gen = observable_generated();
+  expect_group_step_matches_serial(
+      gen, random_sequence(gen.num_inputs(), 24, rng), /*drop=*/true);
+  const Circuit shapes = latch_shapes();
+  for (double x_prob : {0.0, 0.3}) {
+    Rng r(static_cast<std::uint64_t>(x_prob * 10) + 51);
+    expect_group_step_matches_serial(
+        shapes, random_sequence_with_x(shapes.num_inputs(), 24, x_prob, r),
+        /*drop=*/true);
+  }
+  TestSequence lone;
+  ASSERT_TRUE(
+      TestSequence::from_strings({"x1", "01", "x0", "11", "01", "x0"}, lone));
+  expect_group_step_matches_serial(lone_flip_flop(), lone, /*drop=*/true);
 }
 
 TEST(ParallelStats, WorkCountsEqualAtOneAndFourThreads) {
