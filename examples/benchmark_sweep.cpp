@@ -1,5 +1,6 @@
 // Runs the Table 2 / Table 3 experiment pipeline on a chosen subset of the
-// benchmark suite and prints the tables plus diagnostics.
+// benchmark suite and prints the tables plus diagnostics and the conventional
+// pre-pass's work counts (deterministic: equal for every thread count).
 //
 // Usage:
 //   benchmark_sweep                       # the small circuits (fast)
@@ -50,7 +51,8 @@
 //
 // Exit codes (asserted exhaustively by tests/cli_exit_codes_test.sh):
 //   0  sweep completed; every processed fault has a definitive outcome
-//   1  usage error (bad flags, invalid flag combinations)
+//   1  usage error (malformed or unknown flags, unknown circuit names,
+//      invalid flag combinations)
 //   2  a campaign budget stopped the run early (incomplete faults remain;
 //      rerun with --resume to finish them)
 //   3  cancelled by SIGINT/SIGTERM; journal flushed, resumable
@@ -178,14 +180,21 @@ int main(int argc, char** argv) {
   config.journal_path = resume_flag.empty() ? journal_flag : resume_flag;
   config.resume = !resume_flag.empty();
   config.cancel = &g_cancel;
-  for (const std::string& flag : args.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
+  const std::vector<std::string> unknown = args.unused();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.front().c_str());
+    return 1;
   }
 
   std::vector<std::string> selection;
   if (!circuits_flag.empty()) {
     for (std::string_view name : split(circuits_flag, ',')) {
       selection.emplace_back(trim(name));
+      if (!circuits::find_profile(selection.back())) {
+        std::fprintf(stderr, "error: --circuits: unknown circuit '%s'\n",
+                     selection.back().c_str());
+        return 1;
+      }
     }
   }
 
@@ -359,6 +368,7 @@ int main(int argc, char** argv) {
   std::printf("Table 3 — effectiveness of backward implications:\n%s\n",
               render_table3(rows).c_str());
   std::printf("Diagnostics:\n%s", render_diagnostics(rows).c_str());
+  std::printf("\nPre-pass work:\n%s", render_prepass_work(rows).c_str());
 
   // Exit-code ladder, most severe condition first (see the table in the
   // header comment). Per-fault budget stops are definitive outcomes (the

@@ -61,4 +61,19 @@ std::string render_diagnostics(const std::vector<RunResult>& rows) {
   return t.render();
 }
 
+std::string render_prepass_work(const std::vector<RunResult>& rows) {
+  Table t({"circuit", "group-frames", "gates evaluated", "state entries",
+           "latch entries"});
+  for (const RunResult& r : rows) {
+    const PrepassStats& s = r.prepass_stats;
+    t.new_row()
+        .add(r.circuit)
+        .add(s.group_frames)
+        .add(s.gates_evaluated)
+        .add(s.state_entries)
+        .add(s.latch_entries);
+  }
+  return t.render();
+}
+
 }  // namespace motsim::experiments

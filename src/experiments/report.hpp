@@ -21,4 +21,9 @@ std::string render_table3(const std::vector<RunResult>& rows);
 /// wall-clock.
 std::string render_diagnostics(const std::vector<RunResult>& rows);
 
+/// The conventional pre-pass's work counts per circuit (RunResult::
+/// prepass_stats): group-frames, gates evaluated, state entries visited and
+/// latch entries written. Deterministic: equal for every thread count.
+std::string render_prepass_work(const std::vector<RunResult>& rows);
+
 }  // namespace motsim::experiments

@@ -38,10 +38,11 @@ check "--journal with --resume is a usage error" 1 $?
 "$BIN" --journal "$TMP/j.journal" --circuits s298,s344 > /dev/null 2>&1
 check "--journal needs exactly one circuit" 1 $?
 
-# 1 — malformed count flags are usage errors that name the flag, caught
-# before anything runs: nothing on stdout, and no journal (the campaign's
-# first step, ahead of every thread pool and worker process) was created.
-for args in "--threads abc" "--threads -1" "--workers 4x"; do
+# 1 — malformed count flags and unknown flags (a typo such as --thread) are
+# usage errors that name the flag, caught before anything runs: nothing on
+# stdout, and no journal (the campaign's first step, ahead of every thread
+# pool and worker process) was created.
+for args in "--threads abc" "--threads -1" "--workers 4x" "--thread 2"; do
   rm -f "$TMP/flag.journal"
   # shellcheck disable=SC2086 # $args is two words on purpose
   "$BIN" --circuits s298 $args --journal "$TMP/flag.journal" \
@@ -57,6 +58,34 @@ for args in "--threads abc" "--threads -1" "--workers 4x"; do
     fail=1
   fi
 done
+
+# 1 — a circuit name the suite does not know (a typo of s5378) is a usage
+# error naming it, not a run over nothing.
+"$BIN" --circuits s298,s5387 > "$TMP/out1c.txt" 2> "$TMP/err1c.txt"
+check "--circuits with an unknown circuit is a usage error" 1 $?
+if ! grep -q "s5387" "$TMP/err1c.txt" || [ -s "$TMP/out1c.txt" ]; then
+  echo "FAIL: unknown circuit: stderr does not name s5387 or a run started" >&2
+  fail=1
+fi
+
+# The pre-pass work table holds deterministic counts only: it is identical
+# at 1 and 4 threads.
+"$BIN" --circuits s298 --threads 1 > "$TMP/out_t1.txt" 2>&1
+check "run at 1 thread completes" 0 $?
+"$BIN" --circuits s298 --threads 4 > "$TMP/out_t4.txt" 2>&1
+check "run at 4 threads completes" 0 $?
+sed -n '/^Pre-pass work/,$p' "$TMP/out_t1.txt" > "$TMP/work_t1.txt"
+sed -n '/^Pre-pass work/,$p' "$TMP/out_t4.txt" > "$TMP/work_t4.txt"
+if [ "$(wc -l < "$TMP/work_t1.txt")" -lt 4 ]; then
+  echo "FAIL: no pre-pass work table" >&2
+  fail=1
+elif cmp -s "$TMP/work_t1.txt" "$TMP/work_t4.txt"; then
+  echo "ok: pre-pass work table is identical at 1 and 4 threads"
+else
+  echo "FAIL: the pre-pass work table differs between 1 and 4 threads" >&2
+  diff "$TMP/work_t1.txt" "$TMP/work_t4.txt" >&2
+  fail=1
+fi
 
 # 2 — an exhausted campaign budget leaves incomplete faults (budget 1 ms:
 # the campaign deadline fires before the MOT candidates are processed).

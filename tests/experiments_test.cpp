@@ -97,6 +97,33 @@ TEST(Report, Table3AndDiagnosticsRender) {
   EXPECT_NE(diag.find("seconds"), std::string::npos);
 }
 
+TEST(Report, PrepassWorkRendersTheCountsOfEveryRow) {
+  RunResult a = small_run();
+  ASSERT_GT(a.prepass_stats.gates_evaluated, 0u);
+  RunResult b;
+  b.circuit = "b";
+  b.prepass_stats = PrepassStats{78000, 16218970, 423412, 425755};
+  const std::string work = render_prepass_work({a, b});
+  for (const char* h : {"circuit", "group-frames", "gates evaluated",
+                        "state entries", "latch entries"}) {
+    EXPECT_NE(work.find(h), std::string::npos) << h;
+  }
+  EXPECT_NE(work.find("| table1 "), std::string::npos);
+  const std::size_t row = work.find("| b ");
+  ASSERT_NE(row, std::string::npos) << work;
+  std::size_t at = row;
+  for (const char* cell : {" 78000 |", " 16218970 |", " 423412 |",
+                           " 425755 |"}) {
+    at = work.find(cell, at);
+    ASSERT_NE(at, std::string::npos) << cell << " in\n" << work;
+  }
+  EXPECT_NE(work.find(std::to_string(a.prepass_stats.gates_evaluated)),
+            std::string::npos);
+  // No timing column: the table is the same for every run of one input.
+  EXPECT_EQ(work.find("second"), std::string::npos);
+  EXPECT_EQ(render_prepass_work({a, b}), work);
+}
+
 TEST(Experiments, HitecExperimentRunsOnS27) {
   RunConfig config;
   const HitecExperimentResult r = run_hitec_experiment("s27", config);
