@@ -600,11 +600,10 @@ TEST(FaultDropping, MatchesSerialWhenMostFaultsAreDetectedEarly) {
   expect_matches_serial(c, t, good, faults, 4);
   const std::vector<bool> session = session_detections(c, t, faults);
   std::vector<std::size_t> when(faults.size());
-  std::size_t detected = 0, early = 0;
+  std::size_t early = 0;
   for (std::size_t k = 0; k < faults.size(); ++k) {
     EXPECT_EQ(session[k], serial[k].detected) << fault_name(c, faults[k]);
     when[k] = first_detection(c, t, good, faults[k]);
-    detected += serial[k].detected;
     early += when[k] < t.length() / 4;
   }
 
@@ -655,7 +654,6 @@ TEST(FaultDropping, MatchesSerialWhenMostFaultsAreDetectedEarly) {
   }
   EXPECT_TRUE(later);
   EXPECT_TRUE(never);
-  EXPECT_GT(detected, 0u);
 }
 
 TEST(FaultDropping, GroupStepCarriesDroppedSlotsFaultFree) {
