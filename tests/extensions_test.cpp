@@ -1,14 +1,12 @@
-// Tests for the extension modules: implication-only simulation ([6]-style),
-// the general MOT approach, and potential detection ([7]-style).
+// Tests for the extension modules: implication-only simulation ([6]-style)
+// and the general MOT approach.
 #include <gtest/gtest.h>
 
-#include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
 #include "mot/baseline.hpp"
 #include "mot/general.hpp"
 #include "mot/implication_only.hpp"
 #include "mot/oracle.hpp"
-#include "mot/potential.hpp"
 #include "mot/proposed.hpp"
 #include "netlist/builder.hpp"
 #include "testgen/random_gen.hpp"
@@ -181,57 +179,6 @@ TEST(GeneralMot, FindsAGeneralOnlyFault) {
   const GeneralMotResult r = general.simulate_fault(t, good, f);
   EXPECT_FALSE(r.detected_restricted);
   EXPECT_TRUE(r.detected);
-}
-
-// --------------------------------------------------- potential detection ----
-
-class PotentialProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PotentialProperty, OracleConsistentWithRestrictedOracle) {
-  World w = make_world(GetParam());
-  for (const Fault& f : w.faults) {
-    const PotentialResult p =
-        potential_detection_oracle(w.c, w.test, w.good, f);
-    ASSERT_TRUE(p.computable);
-    EXPECT_EQ(p.total_states, 1ull << w.c.num_dffs());
-    const OracleVerdict v = restricted_mot_oracle(w.c, w.test, w.good, f);
-    ASSERT_TRUE(v.computable);
-    EXPECT_EQ(v.detected, p.fully_detected()) << fault_name(w.c, f);
-    EXPECT_GE(p.detection_probability(), 0.0);
-    EXPECT_LE(p.detection_probability(), 1.0);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PotentialProperty, ::testing::Values(1, 2, 3));
-
-TEST(Potential, EstimateNeverExceedsCertainty) {
-  // The estimate's "resolved fraction" equals 1 exactly when every sequence
-  // resolved — which implies true restricted-MOT detection.
-  World w = make_world(7);
-  for (const Fault& f : w.faults) {
-    const PotentialResult est =
-        potential_detection_estimate(w.c, w.test, w.good, f, 64);
-    ASSERT_TRUE(est.computable);
-    if (est.fully_detected()) {
-      const OracleVerdict v = restricted_mot_oracle(w.c, w.test, w.good, f);
-      ASSERT_TRUE(v.computable);
-      EXPECT_TRUE(v.detected) << fault_name(w.c, f);
-    }
-  }
-}
-
-TEST(Potential, ClassifiesConventionallyDetectedAsFull) {
-  const Circuit c = circuits::make_s27();
-  Rng rng(5);
-  const TestSequence t = random_sequence(4, 24, rng);
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
-  const ConventionalFaultSimulator conv(c);
-  for (const Fault& f : collapsed_fault_list(c)) {
-    if (!conv.analyze(t, good, f).detected) continue;
-    const PotentialResult p = potential_detection_oracle(c, t, good, f);
-    ASSERT_TRUE(p.computable);
-    EXPECT_TRUE(p.fully_detected()) << fault_name(c, f);
-  }
 }
 
 }  // namespace
