@@ -1,11 +1,9 @@
-// Tests for the fault dictionary / diagnosis and test-sequence compaction.
+// Tests for the fault dictionary and diagnosis.
 #include <gtest/gtest.h>
 
 #include "circuits/embedded.hpp"
-#include "circuits/generator.hpp"
+#include "faultsim/conventional.hpp"
 #include "faultsim/dictionary.hpp"
-#include "faultsim/parallel.hpp"
-#include "testgen/compaction.hpp"
 #include "testgen/random_gen.hpp"
 
 namespace motsim {
@@ -108,50 +106,6 @@ TEST(Dictionary, EquivalenceClassesPartitionTheFaultList) {
   }
   EXPECT_EQ(total, dict.num_faults());
   EXPECT_GT(classes.size(), 1u);
-}
-
-// ----------------------------------------------------------- compaction ----
-
-class CompactionProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CompactionProperty, NeverLosesCoverageAndUsuallyShrinks) {
-  circuits::GeneratorParams p;
-  p.name = "compact";
-  p.seed = GetParam();
-  p.num_inputs = 4;
-  p.num_outputs = 3;
-  p.num_dffs = 5;
-  p.num_comb_gates = 40;
-  p.uninit_fraction = 0.1;
-  const Circuit c = circuits::generate(p);
-  const auto faults = collapsed_fault_list(c);
-  Rng rng(GetParam() * 3 + 11);
-  const TestSequence t = random_sequence(c.num_inputs(), 48, rng);
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
-  const auto before = ParallelFaultSimulator(c).run(t, good, faults);
-  std::size_t before_detected = 0;
-  for (const auto& o : before) before_detected += o.detected;
-
-  const CompactionResult r = compact_sequence(c, t, faults);
-  EXPECT_EQ(r.original_length, t.length());
-  EXPECT_LE(r.sequence.length(), t.length());
-  EXPECT_GT(r.trials, 0u);
-
-  const SeqTrace good2 = SequentialSimulator(c).run_fault_free(r.sequence);
-  const auto after = ParallelFaultSimulator(c).run(r.sequence, good2, faults);
-  std::size_t after_detected = 0;
-  for (const auto& o : after) after_detected += o.detected;
-  EXPECT_GE(after_detected, before_detected);
-  EXPECT_EQ(r.detected, before_detected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CompactionProperty, ::testing::Values(1, 2, 3, 4));
-
-TEST(Compaction, RandomSequencesCompactSubstantially) {
-  // Random patterns are redundant; expect a real reduction on s27.
-  World w = s27_world(7, 64);
-  const CompactionResult r = compact_sequence(w.c, w.test, w.faults);
-  EXPECT_LT(r.sequence.length(), w.test.length());
 }
 
 }  // namespace
