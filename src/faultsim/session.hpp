@@ -4,7 +4,9 @@
 // machine (packed 63 per PVal group) so that test patterns can be applied
 // segment by segment. Cloning a session forks all machine states, which is
 // what simulation-guided test generation needs: propose a candidate segment
-// on a fork, keep the winner, never resimulate the prefix.
+// on a fork, keep the winner, never resimulate the prefix. Its one user is
+// the HITEC-like generator (testgen/hitec_like.hpp), whose committed s5378
+// sequence CI regenerates byte for byte.
 //
 // Each frame advances the fault-free machine once and then every group
 // through the same sparse group step as ParallelFaultSimulator
