@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
   const bool do_sweep = args.get_bool("sweep");
   const bool do_const_prop = args.get_bool("const-prop");
   const bool do_remove_buffers = args.get_bool("no-buffers");
-  for (const std::string& flag : args.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
+  if (!args.finish()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
   }
 
   Circuit c;

@@ -163,7 +163,9 @@ int main(int argc, char** argv) {
   config.supervisor.remote_rejoin_ms =
       args.get_count("remote-rejoin-ms", 10000);
   const std::uint64_t connect_attempts = args.get_count("connect-attempts", 10);
-  if (!args.ok()) {
+  const std::string journal_flag = args.get("journal", "");
+  const std::string resume_flag = args.get("resume", "");
+  if (!args.finish()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;
   }
@@ -171,8 +173,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --listen and --connect are exclusive\n");
     return 1;
   }
-  const std::string journal_flag = args.get("journal", "");
-  const std::string resume_flag = args.get("resume", "");
   if (!journal_flag.empty() && !resume_flag.empty()) {
     std::fprintf(stderr, "error: --journal and --resume are exclusive\n");
     return 1;
@@ -180,11 +180,6 @@ int main(int argc, char** argv) {
   config.journal_path = resume_flag.empty() ? journal_flag : resume_flag;
   config.resume = !resume_flag.empty();
   config.cancel = &g_cancel;
-  const std::vector<std::string> unknown = args.unused();
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.front().c_str());
-    return 1;
-  }
 
   std::vector<std::string> selection;
   if (!circuits_flag.empty()) {

@@ -197,11 +197,7 @@ int selfcheck(const std::vector<std::string>& circuits, std::size_t patterns,
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return usage(argv[0]);
-  }
+  const CliArgs args(argc, argv);
   const std::string dir = args.get("testcases", "");
   const std::vector<std::string> circuits = split_names(args.get("circuits", ""));
   const bool self = args.get_bool("selfcheck");
@@ -218,13 +214,8 @@ int main(int argc, char** argv) {
   const char* update_env = std::getenv("MOTSIM_UPDATE_GOLDEN");
   const bool update = args.get_bool("update-golden") ||
                       (update_env != nullptr && *update_env == '1');
-  if (!args.ok()) {
+  if (!args.finish()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
-    return usage(argv[0]);
-  }
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
     return usage(argv[0]);
   }
 

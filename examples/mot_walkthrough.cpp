@@ -131,7 +131,12 @@ void figure_4() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "error: unexpected argument '%s' (takes none)\n",
+                 argv[1]);
+    return 1;
+  }
   figures_1_to_3();
   figure_4();
   return 0;

@@ -32,10 +32,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed0 = args.get_count("seed", 1);
   MotOptions opt;
   opt.n_states = args.get_count("nstates", 64);
-  for (const std::string& flag : args.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
-  }
-  if (!args.ok()) {
+  if (!args.finish()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;
   }

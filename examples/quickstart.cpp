@@ -26,10 +26,7 @@ int main(int argc, char** argv) {
   const std::string patterns_path = args.get("patterns", "");
   const std::size_t length = args.get_count("length", 32);
   const std::uint64_t seed = args.get_count("seed", 7);
-  for (const std::string& flag : args.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
-  }
-  if (!args.ok()) {
+  if (!args.finish()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;
   }

@@ -85,29 +85,21 @@ int replay(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  if (!args.ok()) {
+  const CliArgs args(argc, argv);
+  const auto rejected = [&] {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return usage(argv[0]);
-  }
+  };
 
   if (args.has("iscas")) {
     const std::string dir = args.get("iscas", "");
-    const auto unused = args.unused();
-    if (!unused.empty()) {
-      std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
-      return usage(argv[0]);
-    }
+    if (!args.finish()) return rejected();
     return run_iscas(dir);
   }
 
   if (args.has("replay")) {
     const std::string path = args.get("replay", "");
-    const auto unused = args.unused();
-    if (!unused.empty()) {
-      std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
-      return usage(argv[0]);
-    }
+    if (!args.finish()) return rejected();
     return replay(path);
   }
 
@@ -134,15 +126,7 @@ int main(int argc, char** argv) {
   }
   // A planted bug should stop the run at the first catch.
   options.stop_on_first = options.mutant != Mutant::None;
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return usage(argv[0]);
-  }
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
-    return usage(argv[0]);
-  }
+  if (!args.finish()) return rejected();
   if (!options.corpus_dir.empty()) {
     ::mkdir(options.corpus_dir.c_str(), 0755);  // best effort; may exist
   }

@@ -83,13 +83,15 @@ bool CliArgs::get_bool(const std::string& name, bool def) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
-std::vector<std::string> CliArgs::unused() const {
-  std::vector<std::string> out;
-  for (const auto& [name, value] : flags_) {
-    (void)value;
-    if (!queried_.count(name)) out.push_back(name);
+bool CliArgs::finish() const {
+  if (!ok()) return false;
+  for (const auto& flag : flags_) {
+    if (!queried_.count(flag.first)) {
+      error_ = "unknown flag --" + flag.first;
+      return false;
+    }
   }
-  return out;
+  return true;
 }
 
 }  // namespace motsim

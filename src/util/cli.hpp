@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for the example binaries.
 //
-// Supports `--name value`, `--name=value` and boolean `--name`. Unknown flags
-// are reported rather than silently ignored so example invocations stay honest.
+// Supports `--name value`, `--name=value` and boolean `--name`. A program
+// reads its flags, then calls finish(): a flag it never asked for is an
+// error, so a typo stops the program instead of running it on defaults.
 #pragma once
 
 #include <cstdint>
@@ -13,11 +14,11 @@ namespace motsim {
 
 class CliArgs {
  public:
-  /// Parses argv. On malformed input, `ok()` is false and `error()` explains.
   CliArgs(int argc, const char* const* argv);
 
-  /// False once argv or a value read by get_int/get_count was malformed;
-  /// `error()` names the first offending flag. Check it after the last get.
+  /// False once a value read by get_int/get_count was malformed, or once
+  /// finish() found an unknown flag; `error()` names the first offending
+  /// flag.
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
@@ -36,9 +37,9 @@ class CliArgs {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Flags that were parsed but never queried; used by examples to warn about
-  /// typos. Call after all get()/has() calls.
-  std::vector<std::string> unused() const;
+  /// Ends the flag reads: a flag that no getter (has() included) queried
+  /// becomes the error, unless a malformed value already is. Returns ok().
+  bool finish() const;
 
  private:
   std::map<std::string, std::string> flags_;

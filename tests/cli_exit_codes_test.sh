@@ -8,10 +8,14 @@
 # Worker mode (--connect) adds: 6 = remote transport failure. The remote
 # (--listen/--connect) section runs a real loopback multi-host campaign and
 # demands tables byte-identical to the in-process run.
-# Driven as a tier-1 ctest: $1 is the benchmark_sweep binary.
+# The last section checks that every other example CLI and a bench binary
+# reject a misspelled flag before doing any work.
+# Driven as a tier-1 ctest: $1 is the benchmark_sweep binary, the rest are
+# the other example and bench binaries.
 set -u
 
-BIN="${1:?usage: cli_exit_codes_test.sh <benchmark_sweep binary>}"
+BIN="${1:?usage: cli_exit_codes_test.sh <benchmark_sweep> [other binaries...]}"
+shift
 TMP="${TMPDIR:-/tmp}/motsim_cli_exit_$$"
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
@@ -241,5 +245,47 @@ fi
 check "remote fleet loss is exit 5" 5 $?
 "$BIN" --circuits s298 --resume "$TMP/lostr.journal" > /dev/null 2>&1
 check "resume after remote fleet loss completes" 0 $?
+
+# --- the other CLIs: a misspelled flag is a usage error ---
+
+# Each binary gets a plausible typo of one of its own flags. It must exit
+# with that program's usage-error code (2 for iscas_conformance and
+# verify_fuzz, 1 for the rest), name the flag on stderr, and print nothing
+# on stdout: the program stopped before doing any work.
+reject() {
+  what="$1"; want="$2"; flag="$3"; shift 3
+  "$@" > "$TMP/outu.txt" 2> "$TMP/erru.txt"
+  check "$what $flag is a usage error" "$want" $?
+  if ! grep -q -- "$flag" "$TMP/erru.txt"; then
+    echo "FAIL: $what $flag: stderr does not name the flag" >&2
+    fail=1
+  fi
+  if [ -s "$TMP/outu.txt" ]; then
+    echo "FAIL: $what $flag: the program ran before rejecting the flag" >&2
+    fail=1
+  fi
+}
+
+for cli in "$@"; do
+  name=$(basename "$cli")
+  case "$name" in
+    quickstart) reject "$name" 1 --seeed "$cli" --seeed 3 ;;
+    diagnose) reject "$name" 1 --fault-indx "$cli" --fault-indx 1 ;;
+    bench_inspect) reject "$name" 1 --stat "$cli" --stat ;;
+    oracle_explorer) reject "$name" 1 --circuit "$cli" --circuit 3 ;;
+    mot_walkthrough) reject "$name" 1 --bogus "$cli" --bogus ;;
+    iscas_conformance) reject "$name" 2 --testcase "$cli" --testcase "$TMP" ;;
+    verify_fuzz)
+      reject "$name" 2 --seed "$cli" --seed 5
+      reject "$name --iscas" 2 --seed "$cli" --iscas "$TMP" --seed 5
+      reject "$name --replay" 2 --seed "$cli" --replay "$TMP/x.bundle" --seed 5
+      ;;
+    bench_*) reject "$name" 1 --skip-rpro "$cli" --skip-rpro ;;
+    *)
+      echo "FAIL: no misspelled-flag case for $name" >&2
+      fail=1
+      ;;
+  esac
+done
 
 exit "$fail"

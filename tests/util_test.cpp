@@ -300,13 +300,30 @@ TEST(CliArgs, SignedIntKeepsItsSignButRejectsGarbage) {
   EXPECT_EQ(args.get_int("tail", 6), 6);
 }
 
-TEST(Cli, UnusedReportsUnqueriedFlags) {
+TEST(CliArgs, FinishRejectsAnUnqueriedFlagByName) {
   const char* argv[] = {"prog", "--used", "1", "--typo", "2"};
-  CliArgs args(5, argv);
+  const CliArgs args(5, argv);
   args.get("used", "");
-  const auto unused = args.unused();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "typo");
+  EXPECT_TRUE(args.ok());
+  EXPECT_FALSE(args.finish());
+  EXPECT_FALSE(args.ok());
+  EXPECT_EQ(args.error(), "unknown flag --typo");
+}
+
+TEST(CliArgs, FinishCountsAFlagReadOnlyThroughHasAsQueried) {
+  const char* argv[] = {"prog", "--verbose", "--n", "3"};
+  const CliArgs args(4, argv);
+  EXPECT_TRUE(args.has("verbose"));
+  EXPECT_EQ(args.get_count("n", 0), 3u);
+  EXPECT_TRUE(args.finish()) << args.error();
+}
+
+TEST(CliArgs, FinishKeepsAnEarlierMalformedValueAsTheError) {
+  const char* argv[] = {"prog", "--threads", "abc", "--typo", "2"};
+  const CliArgs args(5, argv);
+  EXPECT_EQ(args.get_count("threads", 1), 1u);
+  EXPECT_FALSE(args.finish());
+  EXPECT_EQ(args.error().rfind("--threads", 0), 0u) << args.error();
 }
 
 // ------------------------------------------------------------- Errors ----
