@@ -80,7 +80,13 @@ bool CliArgs::get_bool(const std::string& name, bool def) const {
   queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  if (error_.empty()) {
+    error_ = "--" + name + ": expected true or false, got '" + v + "'";
+  }
+  return def;
 }
 
 bool CliArgs::finish() const {

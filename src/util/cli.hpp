@@ -16,7 +16,7 @@ class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
 
-  /// False once a value read by get_int/get_count was malformed, or once
+  /// False once a value read by a typed getter was malformed, or once
   /// finish() found an unknown flag; `error()` names the first offending
   /// flag.
   bool ok() const { return error_.empty(); }
@@ -32,6 +32,9 @@ class CliArgs {
   /// error, and yields `def`.
   std::uint64_t get_count(const std::string& name, std::uint64_t def,
                           std::uint64_t max = UINT64_MAX) const;
+  /// A bare `--name` is true. A value must be true/1/yes or false/0/no;
+  /// anything else (such as a path that `--name path` took as the value)
+  /// is an error, and yields `def`.
   bool get_bool(const std::string& name, bool def = false) const;
 
   /// Positional (non-flag) arguments in order.

@@ -271,7 +271,11 @@ for cli in "$@"; do
   case "$name" in
     quickstart) reject "$name" 1 --seeed "$cli" --seeed 3 ;;
     diagnose) reject "$name" 1 --fault-indx "$cli" --fault-indx 1 ;;
-    bench_inspect) reject "$name" 1 --stat "$cli" --stat ;;
+    bench_inspect)
+      reject "$name" 1 --stat "$cli" --stat
+      # A boolean flag ahead of the file takes the path as its value.
+      reject "$name" 1 --stats "$cli" --stats "$TMP/c.bench"
+      ;;
     oracle_explorer) reject "$name" 1 --circuit "$cli" --circuit 3 ;;
     mot_walkthrough) reject "$name" 1 --bogus "$cli" --bogus ;;
     iscas_conformance) reject "$name" 2 --testcase "$cli" --testcase "$TMP" ;;

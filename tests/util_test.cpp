@@ -300,6 +300,19 @@ TEST(CliArgs, SignedIntKeepsItsSignButRejectsGarbage) {
   EXPECT_EQ(args.get_int("tail", 6), 6);
 }
 
+// `--stats circuit.bench` hands the path to --stats as its value; reading
+// it as false would drop both the flag and the file without a word.
+TEST(CliArgs, BoolRejectsAValueThatIsNotABoolean) {
+  const char* argv[] = {"prog", "--a", "no", "--b=1", "--stats", "c.bench"};
+  const CliArgs args(6, argv);
+  EXPECT_FALSE(args.get_bool("a", true));
+  EXPECT_TRUE(args.get_bool("b"));
+  EXPECT_TRUE(args.ok());
+  EXPECT_FALSE(args.get_bool("stats"));
+  EXPECT_FALSE(args.ok());
+  EXPECT_EQ(args.error(), "--stats: expected true or false, got 'c.bench'");
+}
+
 TEST(CliArgs, FinishRejectsAnUnqueriedFlagByName) {
   const char* argv[] = {"prog", "--used", "1", "--typo", "2"};
   const CliArgs args(5, argv);
