@@ -14,6 +14,8 @@ namespace motsim {
 
 class CliArgs {
  public:
+  /// Splits argv into flags and positionals. Parsing cannot fail: values
+  /// are checked when a getter reads them, and unknown flags by finish().
   CliArgs(int argc, const char* const* argv);
 
   /// False once a value read by a typed getter was malformed, or once
