@@ -364,6 +364,7 @@ int main(int argc, char** argv) {
               render_table3(rows).c_str());
   std::printf("Diagnostics:\n%s", render_diagnostics(rows).c_str());
   std::printf("\nPre-pass work:\n%s", render_prepass_work(rows).c_str());
+  std::printf("\nMOT work:\n%s", render_mot_work(rows).c_str());
 
   // Exit-code ladder, most severe condition first (see the table in the
   // header comment). Per-fault budget stops are definitive outcomes (the

@@ -107,7 +107,7 @@ RunResult run_circuit(const Circuit& c, const TestSequence& test,
     }
     const MotBatchRunner runner(c, config.mot, config.run_baseline);
     return runner.run(test, good, faults, candidates, journal.get(),
-                      config.cancel);
+                      config.cancel, &result.mot_stats);
   }();
   result.seconds_mot = seconds_since(mot_start);
   if (journal && journal->failed()) {

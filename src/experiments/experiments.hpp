@@ -154,6 +154,10 @@ struct RunResult {
   /// Work counts of the pre-pass (diagnostics, identical for every thread
   /// count; no report or journal carries them).
   PrepassStats prepass_stats;
+  /// Work counts of the MOT stage (diagnostics, identical for every thread
+  /// count; no report or journal carries them). In-process runs only:
+  /// forked and remote workers do not send theirs back.
+  MotStats mot_stats;
 };
 
 /// Runs the full pipeline on an explicit circuit + test sequence.

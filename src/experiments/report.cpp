@@ -76,4 +76,26 @@ std::string render_prepass_work(const std::vector<RunResult>& rows) {
   return t.render();
 }
 
+std::string render_mot_work(const std::vector<RunResult>& rows) {
+  Table t({"circuit", "windows", "runs", "extra made", "extra copied",
+           "phase-1 reads", "select reads", "split reads", "plain enum.",
+           "plain stored", "fallback exp."});
+  for (const RunResult& r : rows) {
+    const MotStats& s = r.mot_stats;
+    t.new_row()
+        .add(r.circuit)
+        .add(s.packed_windows)
+        .add(s.packed_runs)
+        .add(s.extras_produced)
+        .add(s.extras_copied)
+        .add(s.phase1_reads)
+        .add(s.select_reads)
+        .add(s.split_reads)
+        .add(s.plain_enumerated)
+        .add(s.plain_materialised)
+        .add(s.fallback_expansions);
+  }
+  return t.render();
+}
+
 }  // namespace motsim::experiments

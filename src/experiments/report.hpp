@@ -26,4 +26,11 @@ std::string render_diagnostics(const std::vector<RunResult>& rows);
 /// latch entries written. Deterministic: equal for every thread count.
 std::string render_prepass_work(const std::vector<RunResult>& rows);
 
+/// The MOT stage's work counts per circuit (RunResult::mot_stats): packed
+/// collection windows and runs, extra() elements produced, copied and read
+/// by phase 1, pair selection and splits, plain pairs enumerated and
+/// materialised, fallback expansions. Deterministic: equal for every thread
+/// count.
+std::string render_mot_work(const std::vector<RunResult>& rows);
+
 }  // namespace motsim::experiments

@@ -68,7 +68,8 @@ std::string exception_diagnostic(std::exception_ptr ep) {
 std::vector<MotBatchItem> MotBatchRunner::run(
     const TestSequence& test, const SeqTrace& good,
     const std::vector<Fault>& faults, std::span<const std::size_t> indices,
-    CampaignJournal* journal, const CancelToken* cancel) const {
+    CampaignJournal* journal, const CancelToken* cancel,
+    MotStats* stats) const {
   std::vector<MotBatchItem> items(indices.size());
   if (indices.empty()) return items;
   const std::size_t threads = std::min(threads_, indices.size());
@@ -278,6 +279,13 @@ std::vector<MotBatchItem> MotBatchRunner::run(
   } else {
     ThreadPool pool(threads);
     pool.parallel_for_dynamic(indices.size(), /*grain=*/1, simulate_range);
+  }
+  if (stats != nullptr) {
+    for (const auto& lane : lanes) {
+      *stats += lane->proposed.take_stats();
+      if (lane->baseline) *stats += lane->baseline->take_stats();
+      if (lane->fallback) *stats += lane->fallback->take_stats();
+    }
   }
   return items;
 }

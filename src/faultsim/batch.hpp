@@ -110,11 +110,15 @@ class MotBatchRunner {
   ///    outcome the journal already holds are not re-simulated (their
   ///    recorded items are merged in place) and every newly completed fault
   ///    is appended (fsync'd) as soon as it finishes.
+  ///  * `stats` receives the MOT work of every fault simulated by this call
+  ///    (journal-merged faults excluded), summed over the worker lanes; the
+  ///    sums do not depend on the thread count or the schedule.
   std::vector<MotBatchItem> run(const TestSequence& test, const SeqTrace& good,
                                 const std::vector<Fault>& faults,
                                 std::span<const std::size_t> indices,
                                 CampaignJournal* journal,
-                                const CancelToken* cancel = nullptr) const;
+                                const CancelToken* cancel = nullptr,
+                                MotStats* stats = nullptr) const;
 
   std::vector<MotBatchItem> run(const TestSequence& test, const SeqTrace& good,
                                 const std::vector<Fault>& faults,

@@ -54,6 +54,9 @@ class ExpansionBaseline {
     inner_.set_campaign(campaign, cancel);
   }
 
+  /// Forwards to MotFaultSimulator::take_stats.
+  MotStats take_stats() { return inner_.take_stats(); }
+
  private:
   static BaselineResult to_baseline(const MotResult& r);
 

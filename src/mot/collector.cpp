@@ -79,6 +79,7 @@ ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
     }
     pair.extra_len[alpha] =
         static_cast<std::uint32_t>(extras.size()) - pair.extra_off[alpha];
+    stats_.extras_produced += pair.extra_len[alpha];
   }
 
   // Roll every probed frame back, newest first.
@@ -173,6 +174,10 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       return result;
     }
     result.add_plain_pair(0, static_cast<std::uint32_t>(i));
+    if (!options_.use_backward_implications) {
+      ++stats_.plain_enumerated;
+      ++stats_.plain_materialised;
+    }
   }
 
   if (packed_.has_value()) {
@@ -224,6 +229,8 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       if (!options_.use_backward_implications) {
         // [4]-style plain expansion: the pair specifies only itself.
         result.add_plain_pair(u, i);
+        ++stats_.plain_enumerated;
+        ++stats_.plain_materialised;
         continue;
       }
       PairInfo pair;
@@ -287,6 +294,7 @@ bool BackwardCollector::collect_packed_window(
   // of the window, but the observable results (pair list, classifications,
   // budget charges, early returns) replay the serial pair order exactly.
   packed_->bind(good, faulty, w.frames);
+  ++stats_.packed_windows;
   w.outcome.resize(2 * nd);
   w.runs.resize(2 * nd * nl);
   w.extras.clear();
@@ -309,6 +317,7 @@ bool BackwardCollector::collect_packed_window(
           seeded, c.dff_input(i), a == 0 ? Val::Zero : Val::One, fv,
           options_.impl_mode);
       w.outcome[2 * i + a] = out;
+      ++stats_.packed_runs;
 
       // extra(u,i,α) exactly as the serial probe reads it off the implied
       // frame: next-state (D-pin) values for flip-flops that conventional
@@ -350,6 +359,7 @@ bool BackwardCollector::collect_packed_window(
         end += len[l];
       }
       if (ok == 0) continue;
+      stats_.extras_produced += end - w.extras.size();
       w.extras.resize(end);
       for (std::size_t t = 0; t < w.touched.size(); ++t) {
         const PVal y = w.cand_vals[t];
@@ -385,6 +395,7 @@ bool BackwardCollector::collect_packed_window(
         pair.extra_len[a] = run.len;
         extras.insert(extras.end(), w.extras.begin() + run.off,
                       w.extras.begin() + run.off + run.len);
+        stats_.extras_copied += run.len;
       }
       // Sound implications cannot refute both values: some concrete run of
       // the faulty machine realizes each reachable trace.

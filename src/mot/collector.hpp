@@ -98,6 +98,10 @@ class BackwardCollector {
                            const FaultView& fv, std::span<const std::size_t> nout,
                            WorkBudget* budget = nullptr);
 
+  /// Collection work counted since the last call (the packed_* and
+  /// extras_* fields of MotStats), which resets the counts.
+  MotStats take_stats() { return std::exchange(stats_, MotStats{}); }
+
  private:
   /// Probes one (u, i, α); fills the pair's side, appending its extra() set
   /// to `extras`. Returns outcome.
@@ -126,6 +130,7 @@ class BackwardCollector {
   /// probes one frame per lane); deeper probes and the Legacy kernel use the
   /// serial path.
   std::optional<PackedFrameImplicator> packed_;
+  MotStats stats_;
 };
 
 }  // namespace motsim

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <functional>
+#include <utility>
 
 namespace motsim {
 
@@ -32,7 +33,8 @@ namespace {
 /// The candidate pool [4] works with: every unspecified (u, i) splits into
 /// exactly {(i,0)} / {(i,1)} with no implication information.
 CollectionResult plain_pairs(const Circuit& c, const SeqTrace& faulty,
-                             std::span<const std::size_t> nout) {
+                             std::span<const std::size_t> nout,
+                             MotStats& stats) {
   CollectionResult pool;
   const std::size_t L = faulty.length();
   for (std::uint32_t u = 0; u <= L; ++u) {
@@ -41,6 +43,8 @@ CollectionResult plain_pairs(const Circuit& c, const SeqTrace& faulty,
       if (!is_specified(faulty.states[u][i])) pool.add_plain_pair(u, i);
     }
   }
+  stats.plain_enumerated += pool.pairs.size();
+  stats.plain_materialised += pool.pairs.size();
   return pool;
 }
 
@@ -145,6 +149,7 @@ const PairInfo* MotFaultSimulator::select_pair(
     for (int a : {0, 1}) {
       for (const auto& [j, beta] : pool.extra(*p, a)) {
         (void)beta;
+        ++stats_.select_reads;
         if (!set.unspecified_everywhere(p->u, j)) return false;
       }
     }
@@ -159,6 +164,12 @@ const PairInfo* MotFaultSimulator::select_pair(
   // invalid can never become valid again, so walking the heap implements
   // the paper's filter cascade.
   return ranking.first_valid(valid);
+}
+
+MotStats MotFaultSimulator::take_stats() {
+  MotStats s = std::exchange(stats_, MotStats{});
+  s += collector_.take_stats();
+  return s;
 }
 
 WorkBudget MotFaultSimulator::make_budget() const {
@@ -191,6 +202,7 @@ bool MotFaultSimulator::expand_and_resimulate(
       result.counters.n_extra += p.n_extra(open);
       for (const auto& [j, beta] : pool.extra(p, open)) {
         set.assign(0, p.u, j, beta);
+        ++stats_.phase1_reads;
       }
     }
   }
@@ -212,6 +224,7 @@ bool MotFaultSimulator::expand_and_resimulate(
 
     // Originals take extra(u,i,0), copies take extra(u,i,1).
     set.split(pick->u, pool.extra(*pick, 0), pool.extra(*pick, 1));
+    stats_.split_reads += pick->n_extra(0) + pick->n_extra(1);
   }
 
   // §3.4: resimulate and check.
@@ -297,9 +310,11 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
       options_.use_backward_implications) {
     MotResult fallback;  // separate accounting; counters stay with the
                          // enriched attempt, which reflects the paper's rules
-    if (expand_and_resimulate(plain_pairs(*circuit_, faulty, nout), test, good,
-                              faulty, fv, nout, nsv, /*apply_phase1=*/false,
-                              budget, fallback)) {
+    const bool detected = expand_and_resimulate(
+        plain_pairs(*circuit_, faulty, nout, stats_), test, good, faulty, fv,
+        nout, nsv, /*apply_phase1=*/false, budget, fallback);
+    stats_.fallback_expansions += fallback.expansions;
+    if (detected) {
       result.detected = true;
       result.via_fallback = true;
       result.phase = MotPhase::Expansion;

@@ -156,6 +156,10 @@ class MotFaultSimulator {
     cancel_ = cancel;
   }
 
+  /// MOT work counted since the last call (collection included), which
+  /// resets the counts.
+  MotStats take_stats();
+
  private:
   /// Procedure 2 steps 3-7: picks the next pair to expand, or nullptr.
   /// `random_order` is the drained ranking under SelectionPolicy::Random.
@@ -184,6 +188,7 @@ class MotFaultSimulator {
   Rng selection_rng_;
   const Deadline* campaign_ = nullptr;
   const CancelToken* cancel_ = nullptr;
+  MotStats stats_;
 };
 
 }  // namespace motsim

@@ -72,8 +72,8 @@ if ! grep -q "s5387" "$TMP/err1c.txt" || [ -s "$TMP/out1c.txt" ]; then
   fail=1
 fi
 
-# The pre-pass work table holds deterministic counts only: it is identical
-# at 1 and 4 threads.
+# The pre-pass and MOT work tables hold deterministic counts only: they are
+# identical at 1 and 4 threads.
 "$BIN" --circuits s298 --threads 1 > "$TMP/out_t1.txt" 2>&1
 check "run at 1 thread completes" 0 $?
 "$BIN" --circuits s298 --threads 4 > "$TMP/out_t4.txt" 2>&1
@@ -83,10 +83,13 @@ sed -n '/^Pre-pass work/,$p' "$TMP/out_t4.txt" > "$TMP/work_t4.txt"
 if [ "$(wc -l < "$TMP/work_t1.txt")" -lt 4 ]; then
   echo "FAIL: no pre-pass work table" >&2
   fail=1
+elif ! grep -q "^MOT work" "$TMP/work_t1.txt"; then
+  echo "FAIL: no MOT work table after the pre-pass work table" >&2
+  fail=1
 elif cmp -s "$TMP/work_t1.txt" "$TMP/work_t4.txt"; then
-  echo "ok: pre-pass work table is identical at 1 and 4 threads"
+  echo "ok: pre-pass and MOT work tables are identical at 1 and 4 threads"
 else
-  echo "FAIL: the pre-pass work table differs between 1 and 4 threads" >&2
+  echo "FAIL: the work tables differ between 1 and 4 threads" >&2
   diff "$TMP/work_t1.txt" "$TMP/work_t4.txt" >&2
   fail=1
 fi
