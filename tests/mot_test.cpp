@@ -341,6 +341,93 @@ TEST(Baseline, NeverUsesImplicationInformation) {
   }
 }
 
+/// A fault list's baseline outcomes under `opt` on a generated circuit
+/// whose candidate pools hold tens to hundreds of plain pairs: per fault
+/// that reaches the expansion stage, "unresolved/aborted/expansions/capped/
+/// work" (capped and work = MotResult::collection_capped and work_used of
+/// the same plain run).
+std::string baseline_outcomes(const MotOptions& opt) {
+  circuits::GeneratorParams p;
+  p.name = "plain";
+  p.seed = 31;
+  p.num_inputs = 3;
+  p.num_outputs = 2;
+  p.num_dffs = 8;
+  p.num_comb_gates = 40;
+  p.uninit_fraction = 0.5;
+  const Circuit c = circuits::generate(p);
+  Rng rng(77);
+  const TestSequence t = random_sequence(3, 24, rng);
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+  ExpansionBaseline baseline(c, opt);
+  MotOptions plain_opt = opt;
+  plain_opt.use_backward_implications = false;
+  MotFaultSimulator plain(c, plain_opt);
+  std::string out;
+  for (const Fault& f : collapsed_fault_list(c)) {
+    const BaselineResult b = baseline.simulate_fault(t, good, f);
+    if (!b.passes_c || b.detected_conventional) continue;
+    const MotResult r = plain.simulate_fault(t, good, f);
+    out += std::string(to_string(b.unresolved)) + "/" +
+           (b.aborted ? "a" : "d") + "/" + std::to_string(b.expansions) + "/" +
+           (r.collection_capped ? "c" : "-") + "/" +
+           std::to_string(r.work_used) + " ";
+  }
+  return out;
+}
+
+TEST(Baseline, PairCapBindingInsideTheEnumerationKeepsTheFirstPairs) {
+  // The cap falls inside a time unit: the baseline keeps the first
+  // max_pairs plain pairs in (u, i) order and reports the cap. Recorded
+  // before the plain pool gave way to the plain walk.
+  MotOptions opt;
+  opt.max_pairs = 13;
+  EXPECT_EQ(baseline_outcomes(opt),
+            "pair_cap/a/6/c/313 pair_cap/a/6/c/1113 pair_cap/a/6/c/329 "
+            "pair_cap/a/6/c/1113 pair_cap/a/6/c/1609 none/d/6/c/297 "
+            "none/d/6/c/969 pair_cap/a/6/c/313 none/d/6/c/523 "
+            "pair_cap/a/6/c/329 none/d/6/c/393 pair_cap/a/6/c/1113 "
+            "pair_cap/a/6/c/1441 pair_cap/a/6/c/1441 pair_cap/a/6/c/1113 "
+            "pair_cap/a/6/c/1113 pair_cap/a/6/c/1441 pair_cap/a/6/c/1113 "
+            "pair_cap/a/6/c/1113 pair_cap/a/6/c/1113 pair_cap/a/6/c/1113 "
+            "pair_cap/a/6/c/1113 pair_cap/a/6/c/1609 pair_cap/a/6/c/1609 "
+            "pair_cap/a/6/c/1609 pair_cap/a/6/c/553 ");
+}
+
+TEST(Baseline, WorkLimitStopsDuringThePlainPairCharge) {
+  // Two units per plain pair with u > 0: a limit of 9 stops every fault
+  // while its pairs are still being charged; at 150 a few faults get
+  // through the charge and stop in expansion. Recorded before the plain
+  // pool gave way to the plain walk.
+  MotOptions opt;
+  opt.per_fault_work_limit = 9;
+  EXPECT_EQ(baseline_outcomes(opt),
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 work_limit/a/0/-/10 "
+            "work_limit/a/0/-/10 work_limit/a/0/-/10 ");
+  opt.per_fault_work_limit = 150;
+  EXPECT_EQ(baseline_outcomes(opt),
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/0/-/150 work_limit/a/0/-/150 "
+            "work_limit/a/5/-/163 work_limit/a/0/-/150 "
+            "work_limit/a/5/-/167 work_limit/a/0/-/150 ");
+}
+
 // ------------------------------------------------ candidate ranking ----
 
 /// The ranking as a four-way comparator under std::stable_sort — the
