@@ -86,7 +86,10 @@ void reproduction() {
     if (!p.both_open() || p.u >= nout.size() || nout[p.u] == 0) continue;
     std::printf("(b) after expansion of state variable y%u at time unit %u\n",
                 p.i, p.u);
-    set.split(p.u, collected.extra(p, 0), collected.extra(p, 1));
+    auto e0 = collected.extra(p, 0);
+    auto e1 = collected.extra(p, 1);
+    set.split(p.u, std::vector<StateAssign>(e0.begin(), e0.end()),
+              std::vector<StateAssign>(e1.begin(), e1.end()));
     break;
   }
   set.resimulate();

@@ -12,28 +12,13 @@ BackwardCollector::BackwardCollector(const Circuit& c, const MotOptions& opt)
   const int depth = std::max(1, options_.backward_depth);
   implicators_.reserve(static_cast<std::size_t>(depth));
   for (int d = 0; d < depth; ++d) implicators_.emplace_back(c);
-  if (options_.kernel == KernelKind::SoA && depth == 1 &&
-      options_.use_backward_implications) {
-    packed_.emplace(c);
-  }
-}
-
-void CollectionResult::add_plain_pair(std::uint32_t u, std::uint32_t i) {
-  PairInfo pair;
-  pair.u = u;
-  pair.i = i;
-  for (int a = 0; a < 2; ++a) {
-    pair.extra_off[a] = static_cast<std::uint32_t>(extras.size());
-    pair.extra_len[a] = 1;
-    extras.emplace_back(i, a == 0 ? Val::Zero : Val::One);
-  }
-  pairs.push_back(pair);
+  if (options_.kernel == KernelKind::SoA && depth == 1) packed_.emplace(c);
 }
 
 ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
                                      const FaultView& fv, std::uint32_t u,
                                      std::uint32_t i, int alpha, PairInfo& pair,
-                                     std::vector<ExtraVal>& extras) {
+                                     CollectionResult& result) {
   const Circuit& c = *circuit_;
   const Val a = alpha == 0 ? Val::Zero : Val::One;
 
@@ -71,15 +56,19 @@ ImplOutcome BackwardCollector::probe(const SeqTrace& good, SeqTrace& faulty,
     // read off the next-state (D-pin) values at frame u-1 for flip-flops
     // that conventional simulation left unspecified at u.
     const FrameVals& frame = faulty.lines[u - 1];
-    pair.extra_off[alpha] = static_cast<std::uint32_t>(extras.size());
+    const auto off = static_cast<std::uint32_t>(result.entries.size());
     for (std::size_t j = 0; j < c.num_dffs(); ++j) {
       if (is_specified(faulty.states[u][j])) continue;
       const Val y = fv.next_state(j, frame);
-      if (is_specified(y)) extras.emplace_back(static_cast<std::uint32_t>(j), y);
+      if (!is_specified(y)) continue;
+      result.entries.push_back({y == Val::One ? PVal{1, 0} : PVal{0, 1},
+                                static_cast<std::uint32_t>(j)});
     }
-    pair.extra_len[alpha] =
-        static_cast<std::uint32_t>(extras.size()) - pair.extra_off[alpha];
-    stats_.extras_produced += pair.extra_len[alpha];
+    const auto len = static_cast<std::uint32_t>(result.entries.size()) - off;
+    pair.extra_size[alpha] = len;
+    pair.run[alpha] = static_cast<std::uint32_t>(result.runs.size());
+    result.runs.push_back({off, len});
+    stats_.extras_produced += len;
   }
 
   // Roll every probed frame back, newest first.
@@ -98,25 +87,22 @@ struct BackwardCollector::Window {
   std::uint32_t cap_end = 0;
   std::vector<std::uint64_t> unspec;  // per flip-flop j: lanes where y_j is X
   std::vector<std::uint32_t> cand;    // flip-flops unspecified in some lane
-  /// Per (i, α): lanes that conflicted / detected.
+  /// Per (i, α): lanes that conflicted / detected, and the index of the run
+  /// in CollectionResult::runs that holds the Ok lanes' extra() sets.
   std::vector<PackedFrameImplicator::Outcome> outcome;
-  /// Per (lane, i, α): extra() set as a run of `extras`.
-  struct Run {
-    std::uint32_t off = 0, len = 0;
-  };
-  std::vector<Run> runs;
-  std::vector<ExtraVal> extras;
+  std::vector<std::uint32_t> run;
+  /// Per (lane, i, α): |extra(u,i,α)| of an Ok lane.
+  std::vector<std::uint32_t> extra_size;
   /// Candidate positions k (into cand) by D-pin driver: first_reader[g] is
   /// the first k whose flip-flop's D pin g drives, next_reader[k] the next
   /// (a gate can drive several D pins); kNoReader ends a list.
   static constexpr std::uint32_t kNoReader = ~std::uint32_t{0};
   std::vector<std::uint32_t> first_reader, next_reader;
-  /// Positions whose D-pin value is specified in one of their unspec lanes
-  /// before any probe: none on a trace whose states are the latched D-pin
-  /// values, kept so the extra() sets do not rest on that.
-  std::vector<std::uint32_t> base;
-  std::vector<std::uint32_t> touched;  // positions one probe may extend
-  std::vector<PVal> cand_vals;         // per touched position, Ok lanes
+  /// Bitsets over candidate positions. `base`: positions whose D-pin value
+  /// is specified in one of their unspec lanes before any probe — none on a
+  /// trace whose states are the latched D-pin values, kept so the extra()
+  /// sets do not rest on that. `touched`: positions one probe may extend.
+  std::vector<std::uint64_t> base, touched;
 };
 
 namespace {
@@ -173,11 +159,10 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       result.capped = true;
       return result;
     }
-    result.add_plain_pair(0, static_cast<std::uint32_t>(i));
-    if (!options_.use_backward_implications) {
-      ++stats_.plain_enumerated;
-      ++stats_.plain_materialised;
-    }
+    PairInfo pair;
+    pair.i = static_cast<std::uint32_t>(i);
+    pair.extra_size[0] = pair.extra_size[1] = 1;  // {(i, α)}, no run
+    result.pairs.push_back(pair);
   }
 
   if (packed_.has_value()) {
@@ -226,18 +211,11 @@ CollectionResult BackwardCollector::collect(const SeqTrace& good, SeqTrace& faul
       // Two backward probes per pair; the budget poll is what lets a
       // pathological fault stop mid-collection instead of hanging.
       if (budget != nullptr && budget->poll(2)) return result;
-      if (!options_.use_backward_implications) {
-        // [4]-style plain expansion: the pair specifies only itself.
-        result.add_plain_pair(u, i);
-        ++stats_.plain_enumerated;
-        ++stats_.plain_materialised;
-        continue;
-      }
       PairInfo pair;
       pair.u = u;
       pair.i = i;
-      probe(good, faulty, fv, u, i, 0, pair, result.extras);
-      probe(good, faulty, fv, u, i, 1, pair, result.extras);
+      probe(good, faulty, fv, u, i, 0, pair, result);
+      probe(good, faulty, fv, u, i, 1, pair, result);
       // Sound implications cannot refute both values: some concrete run of
       // the faulty machine realizes each reachable trace.
       assert(!(pair.conf[0] && pair.conf[1]));
@@ -296,17 +274,17 @@ bool BackwardCollector::collect_packed_window(
   packed_->bind(good, faulty, w.frames);
   ++stats_.packed_windows;
   w.outcome.resize(2 * nd);
-  w.runs.resize(2 * nd * nl);
-  w.extras.clear();
+  w.run.resize(2 * nd);
+  w.extra_size.resize(2 * nd * nl);
   auto d_pin = [&](std::uint32_t j) -> PVal {
     return j == fixed_j ? pv_splat(fv.fault()->stuck)
                         : packed_->packed_value(c.dff_input(j));
   };
-  w.base.clear();
+  w.base.assign((w.cand.size() + 63) / 64, 0);
   for (std::uint32_t k = 0; k < w.cand.size(); ++k) {
     const std::uint32_t j = w.cand[k];
     const PVal y = d_pin(j);
-    if (((y.ones | y.zeros) & w.unspec[j]) != 0) w.base.push_back(k);
+    if (((y.ones | y.zeros) & w.unspec[j]) != 0) w.base[k / 64] |= 1ull << (k % 64);
   }
   for (const std::uint32_t i : w.cand) {
     const std::uint64_t seeded =
@@ -324,56 +302,43 @@ bool BackwardCollector::collect_packed_window(
       // simulation left unspecified at u (w.unspec, per lane). A D pin off
       // the run's trail holds its bound value, so only the base positions
       // and the D pins the run wrote can contribute. Each such D pin is read
-      // once for all Ok lanes; the sets are then laid out lane after lane in
-      // w.extras, each run in ascending candidate order.
+      // once for all Ok lanes into one run entry; the bitset yields the
+      // positions in ascending candidate order.
       const std::uint64_t ok = seeded & ~(out.conflict | out.detected);
-      std::uint32_t len[64] = {};
-      if (ok != 0) {
-        w.touched.assign(w.base.begin(), w.base.end());
-        for (const auto& ch : packed_->changes()) {
-          for (std::uint32_t k = w.first_reader[ch.line];
-               k != Window::kNoReader; k = w.next_reader[k]) {
-            w.touched.push_back(k);
-          }
+      if (ok == 0) continue;
+      w.touched = w.base;
+      for (const auto& ch : packed_->changes()) {
+        for (std::uint32_t k = w.first_reader[ch.line]; k != Window::kNoReader;
+             k = w.next_reader[k]) {
+          w.touched[k / 64] |= 1ull << (k % 64);
         }
-        std::ranges::sort(w.touched);
-        w.touched.erase(std::ranges::unique(w.touched).begin(),
-                        w.touched.end());
-        w.cand_vals.resize(w.touched.size());
-        for (std::size_t t = 0; t < w.touched.size(); ++t) {
-          const std::uint32_t j = w.cand[w.touched[t]];
+      }
+      std::uint32_t size[64] = {};
+      const auto off = static_cast<std::uint32_t>(result.entries.size());
+      for (std::size_t word = 0; word < w.touched.size(); ++word) {
+        for (std::uint64_t m = w.touched[word]; m; m &= m - 1) {
+          const std::uint32_t j = w.cand[word * 64 + std::countr_zero(m)];
           const PVal y = d_pin(j);
           const std::uint64_t spec = (y.ones | y.zeros) & ok & w.unspec[j];
-          w.cand_vals[t] = {y.ones & spec, y.zeros & spec};
-          for (std::uint64_t m = spec; m; m &= m - 1) {
-            ++len[std::countr_zero(m)];
+          if (spec == 0) continue;
+          result.entries.push_back({{y.ones & spec, y.zeros & spec}, j});
+          for (std::uint64_t l = spec; l; l &= l - 1) {
+            ++size[std::countr_zero(l)];
           }
         }
       }
-      std::uint32_t fill[64];
-      auto end = static_cast<std::uint32_t>(w.extras.size());
-      for (std::uint64_t m = seeded; m; m &= m - 1) {
+      w.run[2 * i + a] = static_cast<std::uint32_t>(result.runs.size());
+      result.runs.push_back(
+          {off, static_cast<std::uint32_t>(result.entries.size()) - off});
+      for (std::uint64_t m = ok; m; m &= m - 1) {
         const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        w.runs[(l * nd + i) * 2 + a] = {end, len[l]};
-        fill[l] = end;
-        end += len[l];
-      }
-      if (ok == 0) continue;
-      stats_.extras_produced += end - w.extras.size();
-      w.extras.resize(end);
-      for (std::size_t t = 0; t < w.touched.size(); ++t) {
-        const PVal y = w.cand_vals[t];
-        for (std::uint64_t m = y.ones | y.zeros; m; m &= m - 1) {
-          const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-          w.extras[fill[l]++] = {w.cand[w.touched[t]],
-                                 (y.ones >> l) & 1 ? Val::One : Val::Zero};
-        }
+        w.extra_size[(l * nd + i) * 2 + a] = size[l];
+        stats_.extras_produced += size[l];
       }
     }
   }
 
   // Replay in the serial (u, i) order.
-  std::vector<ExtraVal>& extras = result.extras;
   for (std::size_t l = 0; l < nl; ++l) {
     const std::uint64_t bit = 1ull << l;
     for (const std::uint32_t i : w.cand) {
@@ -386,16 +351,14 @@ bool BackwardCollector::collect_packed_window(
       PairInfo pair;
       pair.u = w.frames[l] + 1;
       pair.i = i;
+      pair.lane = static_cast<std::uint8_t>(l);
       for (int a = 0; a < 2; ++a) {
         const PackedFrameImplicator::Outcome& out = w.outcome[2 * i + a];
-        const Window::Run run = w.runs[(l * nd + i) * 2 + a];
         pair.conf[a] = (out.conflict & bit) != 0;
         pair.detect[a] = (out.detected & bit) != 0;
-        pair.extra_off[a] = static_cast<std::uint32_t>(extras.size());
-        pair.extra_len[a] = run.len;
-        extras.insert(extras.end(), w.extras.begin() + run.off,
-                      w.extras.begin() + run.off + run.len);
-        stats_.extras_copied += run.len;
+        if (pair.side_closed(a)) continue;
+        pair.extra_size[a] = w.extra_size[(l * nd + i) * 2 + a];
+        pair.run[a] = w.run[2 * i + a];
       }
       // Sound implications cannot refute both values: some concrete run of
       // the faulty machine realizes each reachable trace.

@@ -21,12 +21,15 @@
 // extension the paper describes at the end of its Section 2.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "logic/pval.hpp"
 #include "mot/counters.hpp"
 #include "mot/implicator.hpp"
 #include "mot/options.hpp"
@@ -38,43 +41,71 @@ namespace motsim {
 /// One element of an extra() set: present-state variable y_j = β.
 using ExtraVal = std::pair<std::uint32_t, Val>;
 
+/// One flip-flop of a probe run: y_j's value in every lane of the run (a set
+/// bit of v.ones / v.zeros puts y_j = 1 / 0 into that lane's extra() set).
+struct RunEntry {
+  PVal v;
+  std::uint32_t j = 0;
+};
+
 struct PairInfo {
+  /// run[a] of a side in no run: a conflict or detection side, or a side
+  /// whose extra() set is {(i, α)} alone (the synthesized u = 0 pairs).
+  static constexpr std::uint32_t kSelf = ~std::uint32_t{0};
+
   std::uint32_t u = 0;  ///< time unit of the present-state variable
   std::uint32_t i = 0;  ///< state-variable index
   bool conf[2] = {false, false};
   bool detect[2] = {false, false};
-  /// extra(u,i,a) — PSVs y_j = β at time u — is the run of
-  /// extra_len[a] values at extra_off[a] in the owning CollectionResult's
-  /// arena (read it through CollectionResult::extra); valid only when side
-  /// `a` recorded neither conflict nor detection.
-  std::uint32_t extra_off[2] = {0, 0};
-  std::uint32_t extra_len[2] = {0, 0};
+  /// |extra(u,i,a)|; 0 when side `a` recorded a conflict or a detection.
+  std::uint32_t extra_size[2] = {0, 0};
+  /// extra(u,i,a) is lane `lane` of run `run[a]` of the owning
+  /// CollectionResult (read it through CollectionResult::extra).
+  std::uint32_t run[2] = {kSelf, kSelf};
+  std::uint8_t lane = 0;
 
   bool side_closed(int a) const { return conf[a] || detect[a]; }
   bool one_sided() const { return side_closed(0) != side_closed(1); }
   bool both_open() const { return !side_closed(0) && !side_closed(1); }
-  std::size_t n_extra(int a) const { return extra_len[a]; }
+  std::size_t n_extra(int a) const { return extra_size[a]; }
 };
 
 struct CollectionResult {
   std::vector<PairInfo> pairs;
-  /// Every pair's extra() sets, lane-contiguous. Pairs hold offsets, not
-  /// pointers, so a copied or moved result stays self-consistent.
-  std::vector<ExtraVal> extras;
+  /// Every probe run's extra() sets as they came off the implication trail:
+  /// run r is entries[runs[r].off, runs[r].off + runs[r].len), in ascending
+  /// j. Pairs hold run indices, not pointers, so a copied or moved result
+  /// stays self-consistent.
+  struct Run {
+    std::uint32_t off = 0, len = 0;
+  };
+  std::vector<Run> runs;
+  std::vector<RunEntry> entries;
   /// Fault concluded detected by the §3.2 check (detect one side,
   /// conflict-or-detect the other).
   bool detected_by_check = false;
   /// True when options.max_pairs stopped the enumeration early.
   bool capped = false;
 
-  /// extra(p.u, p.i, a), in ascending state-variable order.
-  std::span<const ExtraVal> extra(const PairInfo& p, int a) const {
-    return {extras.data() + p.extra_off[a], p.extra_len[a]};
+  /// extra(p.u, p.i, a) in ascending state-variable order, as a view of the
+  /// run entries whose lane bit is set. A side in no run reads one shared
+  /// entry: y_i = 0 in lane 0 and y_i = 1 in lane 1.
+  auto extra(const PairInfo& p, int a) const {
+    static constexpr RunEntry kSelfEntry{{2, 1}, PairInfo::kSelf};
+    std::span<const RunEntry> run(&kSelfEntry, std::min(p.extra_size[a], 1u));
+    std::uint64_t bit = 1ull << a;
+    if (p.run[a] != PairInfo::kSelf) {
+      run = std::span(entries).subspan(runs[p.run[a]].off, runs[p.run[a]].len);
+      bit = 1ull << p.lane;
+    }
+    return run | std::views::filter([bit](const RunEntry& e) {
+             return ((e.v.ones | e.v.zeros) & bit) != 0;
+           }) |
+           std::views::transform([bit, i = p.i](const RunEntry& e) {
+             return ExtraVal{e.j == PairInfo::kSelf ? i : e.j,
+                             (e.v.ones & bit) != 0 ? Val::One : Val::Zero};
+           });
   }
-
-  /// Appends a pair whose sides specify only y_i itself (the [4]-style
-  /// plain split, and the synthesized u = 0 pairs).
-  void add_plain_pair(std::uint32_t u, std::uint32_t i);
 };
 
 class BackwardCollector {
@@ -104,10 +135,10 @@ class BackwardCollector {
 
  private:
   /// Probes one (u, i, α); fills the pair's side, appending its extra() set
-  /// to `extras`. Returns outcome.
+  /// to `result` as a one-lane run. Returns outcome.
   ImplOutcome probe(const SeqTrace& good, SeqTrace& faulty, const FaultView& fv,
                     std::uint32_t u, std::uint32_t i, int alpha, PairInfo& pair,
-                    std::vector<ExtraVal>& extras);
+                    CollectionResult& result);
 
   /// Per-window scratch of the packed path (collector.cpp), local to one
   /// collect() call so that its memory goes with the call.
@@ -115,10 +146,10 @@ class BackwardCollector {
 
   /// Packed-probe body of collect() for one window of up to 64 time units
   /// (lane l probes u = w.frames[l] + 1): probes every candidate (u, i, α)
-  /// of the window, one packed run per (i, α) across all lanes, then
-  /// replays the serial pair order for the cap check, budget polls,
-  /// classification, and the §3.2 early return. Returns false when
-  /// collect() must return.
+  /// of the window, one packed run per (i, α) across all lanes, kept in
+  /// `result` as it comes off the trail, then replays the serial pair order
+  /// for the cap check, budget polls, classification, and the §3.2 early
+  /// return. Returns false when collect() must return.
   bool collect_packed_window(const SeqTrace& good, const SeqTrace& faulty,
                              const FaultView& fv, Window& w,
                              WorkBudget* budget, CollectionResult& result);

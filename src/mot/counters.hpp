@@ -46,7 +46,7 @@ struct MotStats {
   /// extra() elements read by select_pair's sv(u,i) validity checks.
   std::uint64_t select_reads = 0;
   std::uint64_t split_reads = 0;  ///< extra() elements handed to splits
-  /// Plain (u, i) pairs generated for [4]-style expansion.
+  /// Plain (u, i) pairs generated or examined for [4]-style expansion.
   std::uint64_t plain_enumerated = 0;
   /// Plain pairs stored as PairInfo entries of a candidate pool.
   std::uint64_t plain_materialised = 0;

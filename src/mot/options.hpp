@@ -40,11 +40,12 @@ struct MotOptions {
   /// work accounting) — enforced by the kernel equivalence tests.
   KernelKind kernel = KernelKind::SoA;
 
-  /// When false, the collector performs no backward implications: every
-  /// candidate pair degenerates to extra(u,i,α) = {(i,α)} with no conflict
-  /// or detection information, which makes the procedure the state-expansion
-  /// method of [4] (same expansion skeleton, same budget, criteria (3)-(4)
-  /// vacuous). This is the paper's controlled comparison.
+  /// When false, no backward implications are collected: every candidate
+  /// pair degenerates to extra(u,i,α) = {(i,α)} with no conflict or
+  /// detection information (walked by PlainWalk, never built), which makes
+  /// the procedure the state-expansion method of [4] (same expansion
+  /// skeleton, same budget, criteria (3)-(4) vacuous). This is the paper's
+  /// controlled comparison.
   bool use_backward_implications = true;
 
   ImplMode impl_mode = ImplMode::Fixpoint;

@@ -25,28 +25,17 @@ MotFaultSimulator::MotFaultSimulator(const Circuit& c, MotOptions options)
     : circuit_(&c),
       options_(options),
       conv_(c, options.kernel),
-      collector_(c, options),
-      selection_rng_(options.selection_seed) {}
+      selection_rng_(options.selection_seed) {
+  if (options.use_backward_implications) collector_.emplace(c, options);
+}
 
 namespace {
 
-/// The candidate pool [4] works with: every unspecified (u, i) splits into
-/// exactly {(i,0)} / {(i,1)} with no implication information.
-CollectionResult plain_pairs(const Circuit& c, const SeqTrace& faulty,
-                             std::span<const std::size_t> nout,
-                             MotStats& stats) {
-  CollectionResult pool;
-  const std::size_t L = faulty.length();
-  for (std::uint32_t u = 0; u <= L; ++u) {
-    if (u > 0 && nout[u - 1] == 0) continue;
-    for (std::uint32_t i = 0; i < c.num_dffs(); ++i) {
-      if (!is_specified(faulty.states[u][i])) pool.add_plain_pair(u, i);
-    }
-  }
-  stats.plain_enumerated += pool.pairs.size();
-  stats.plain_materialised += pool.pairs.size();
-  return pool;
-}
+/// One expansion: the time unit and the assignments of both sides.
+struct Split {
+  std::uint32_t u = 0;
+  std::vector<StateAssign> side[2];
+};
 
 UnresolvedReason reason_of(BudgetStop stop) {
   switch (stop) {
@@ -123,6 +112,42 @@ ExpansionRanking::ExpansionRanking(std::span<const PairInfo> pairs,
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
+PlainWalk::PlainWalk(std::span<const std::vector<Val>> states,
+                     std::span<const std::size_t> nout,
+                     std::span<const std::size_t> nsv, std::size_t max_pairs)
+    : states_(states) {
+  // Pool units in (u, i) order, up to the one where max_pairs binds.
+  std::size_t pool = 0;
+  for (std::uint32_t u = 0; u < states.size(); ++u) {
+    if (u > 0 && nout[u - 1] == 0) continue;
+    std::size_t n = nsv[u];
+    if (pool + n > max_pairs) {
+      capped_ = true;
+      cap_u_ = u;
+      cap_n_ = n = max_pairs - pool;
+    }
+    pool += n;
+    if (u > 0) probed_pairs_ += n;
+    if (n > 0 && u < nout.size() && nout[u] > 0) units_.push_back(u);
+    if (capped_) break;
+  }
+  std::stable_sort(units_.begin(), units_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     if (nout[a] != nout[b]) return nout[a] > nout[b];
+                     return nsv[a] < nsv[b];
+                   });
+}
+
+std::vector<PlainWalk::Pair> PlainWalk::drain() {
+  // Every pair read as invalid: the walk steps over all of them in order.
+  std::vector<Pair> order;
+  first_valid([&](std::uint32_t u, std::uint32_t i) {
+    order.push_back({u, i});
+    return false;
+  });
+  return order;
+}
+
 void ExpansionRanking::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
   heap_.pop_back();
@@ -168,7 +193,7 @@ const PairInfo* MotFaultSimulator::select_pair(
 
 MotStats MotFaultSimulator::take_stats() {
   MotStats s = std::exchange(stats_, MotStats{});
-  s += collector_.take_stats();
+  if (collector_.has_value()) s += collector_->take_stats();
   return s;
 }
 
@@ -177,18 +202,44 @@ WorkBudget MotFaultSimulator::make_budget() const {
                     options_.per_fault_work_limit, campaign_, cancel_);
 }
 
-bool MotFaultSimulator::expand_and_resimulate(
-    const CollectionResult& pool, const TestSequence& test,
-    const SeqTrace& good, const SeqTrace& faulty, const FaultView& fv,
-    const std::vector<std::size_t>& nout, const std::vector<std::size_t>& nsv,
-    bool apply_phase1, WorkBudget& budget, MotResult& result) {
-  StateSet set(*circuit_, test, good, fv, faulty, options_.kernel);
+template <typename Pick>
+bool MotFaultSimulator::expand_and_resimulate(StateSet& set,
+                                              WorkBudget& budget,
+                                              MotResult& result, Pick&& pick) {
+  Split split;
+  while (set.size() * 2 <= options_.n_states) {
+    // An expansion duplicates every active sequence, so its cost scales
+    // with the set size — charge that many units (not 1) or the doubling
+    // growth would reach a huge N_STATES in too few polls for the clock
+    // stride to ever observe the deadline.
+    if (budget.poll(set.size())) return false;  // caller reads the reason
+    if (!pick(split)) break;
+    ++result.expansions;
+    result.counters.n_extra += split.side[0].size() + split.side[1].size();
+    // Originals take side 0, copies side 1.
+    set.split(split.u, split.side[0], split.side[1]);
+  }
 
+  // §3.4: resimulate and check.
+  set.resimulate(&budget);
+  result.final_sequences = set.size();
+  // An Active sequence left by an exhausted budget correctly reads as
+  // "not all resolved": budget overrun can only lose detections, never
+  // fabricate one.
+  return set.all_resolved();
+}
+
+bool MotFaultSimulator::expand_collected(const CollectionResult& pool,
+                                         StateSet& set,
+                                         const std::vector<std::size_t>& nout,
+                                         const std::vector<std::size_t>& nsv,
+                                         WorkBudget& budget,
+                                         MotResult& result) {
   // Procedure 2, step 2 (phase 1): one-sided pairs close one value of y_i —
   // conflict means the value is impossible, detection means every run with
   // that value is already detected. Either way only y_i = ᾱ survives, and
   // the values implied for that side refine S0 in place.
-  if (apply_phase1) {
+  if (options_.use_phase1) {
     for (const PairInfo& p : pool.pairs) {
       if (!p.one_sided()) continue;
       const int closed = p.side_closed(0) ? 0 : 1;
@@ -202,38 +253,58 @@ bool MotFaultSimulator::expand_and_resimulate(
       result.counters.n_extra += p.n_extra(open);
       for (const auto& [j, beta] : pool.extra(p, open)) {
         set.assign(0, p.u, j, beta);
-        ++stats_.phase1_reads;
       }
+      stats_.phase1_reads += p.n_extra(open);
     }
   }
 
-  // Procedure 2, steps 3-10 (phase 2): duplicating expansions.
+  // Procedure 2, steps 3-10 (phase 2): duplicating expansions, extra(u,i,0)
+  // on the originals and extra(u,i,1) on the copies.
   ExpansionRanking ranking(pool.pairs, nout, nsv, options_.selection);
   std::vector<const PairInfo*> random_order;
   if (options_.selection == SelectionPolicy::Random) random_order = ranking.drain();
-  while (set.size() * 2 <= options_.n_states) {
-    // An expansion duplicates every active sequence, so its cost scales
-    // with the set size — charge that many units (not 1) or the doubling
-    // growth would reach a huge N_STATES in too few polls for the clock
-    // stride to ever observe the deadline.
-    if (budget.poll(set.size())) return false;  // caller reads the reason
+  return expand_and_resimulate(set, budget, result, [&](Split& split) {
     const PairInfo* pick = select_pair(pool, ranking, random_order, set);
-    if (pick == nullptr) break;
-    ++result.expansions;
-    result.counters.n_extra += pick->n_extra(0) + pick->n_extra(1);
+    if (pick == nullptr) return false;
+    split.u = pick->u;
+    for (int a : {0, 1}) {
+      auto extra = pool.extra(*pick, a);
+      split.side[a].assign(extra.begin(), extra.end());
+      stats_.split_reads += split.side[a].size();
+    }
+    return true;
+  });
+}
 
-    // Originals take extra(u,i,0), copies take extra(u,i,1).
-    set.split(pick->u, pool.extra(*pick, 0), pool.extra(*pick, 1));
-    stats_.split_reads += pick->n_extra(0) + pick->n_extra(1);
-  }
-
-  // §3.4: resimulate and check.
-  set.resimulate(&budget);
-  result.final_sequences = set.size();
-  // An Active sequence left by an exhausted budget correctly reads as
-  // "not all resolved": budget overrun can only lose detections, never
-  // fabricate one.
-  return set.all_resolved();
+bool MotFaultSimulator::expand_plain(PlainWalk walk, StateSet& set,
+                                     WorkBudget& budget, MotResult& result) {
+  // sv(u,i) = {y_i}: valid while y_i is unspecified at u in every active
+  // sequence.
+  const auto valid = [&](std::uint32_t u, std::uint32_t i) {
+    return set.unspecified_everywhere(u, i);
+  };
+  const bool random = options_.selection == SelectionPolicy::Random;
+  std::vector<PlainWalk::Pair> random_order;
+  if (random) random_order = walk.drain();
+  const bool detected = expand_and_resimulate(set, budget, result, [&](Split& split) {
+    std::optional<PlainWalk::Pair> pick;
+    if (!random) {
+      pick = walk.first_valid(valid);
+    } else {
+      std::erase_if(random_order,
+                    [&](PlainWalk::Pair p) { return !valid(p.u, p.i); });
+      if (!random_order.empty()) {
+        pick = random_order[selection_rng_.next_below(random_order.size())];
+      }
+    }
+    if (!pick.has_value()) return false;
+    split.u = pick->u;
+    split.side[0].assign({{pick->i, Val::Zero}});
+    split.side[1].assign({{pick->i, Val::One}});
+    return true;
+  });
+  stats_.plain_enumerated += walk.examined();
+  return detected;
 }
 
 MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
@@ -286,9 +357,27 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
     return r;
   };
 
+  if (!collector_.has_value()) {
+    // [4]: no backward implications, so no collection step — the plain walk
+    // stands in for the candidate pool. Each pool pair with u > 0 is still
+    // charged the two units of the probes it would have taken, so budgets
+    // stop the baseline exactly where a probing collector would.
+    PlainWalk walk(faulty.states, nout, nsv, options_.max_pairs);
+    for (std::size_t n = walk.probed_pairs(); n > 0; --n) {
+      if (budget.poll(2)) return finish(result);
+    }
+    result.collection_capped = walk.capped();
+    StateSet set(*circuit_, test, good, fv, faulty, options_.kernel);
+    if (expand_plain(std::move(walk), set, budget, result)) {
+      result.detected = true;
+      result.phase = MotPhase::Expansion;
+    }
+    return finish(result);
+  }
+
   // Procedure 1, steps 1-2: collect and check.
   const CollectionResult collected =
-      collector_.collect(good, faulty, fv, nout, &budget);
+      collector_->collect(good, faulty, fv, nout, &budget);
   result.collection_capped = collected.capped;
   if (collected.detected_by_check) {
     result.detected = true;
@@ -298,21 +387,20 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
   if (budget.exhausted()) return finish(result);
 
   // Procedure 2 + §3.4 with the collected (implication-enriched) pairs.
-  if (expand_and_resimulate(collected, test, good, faulty, fv, nout, nsv,
-                            options_.use_phase1, budget, result)) {
+  StateSet set(*circuit_, test, good, fv, faulty, options_.kernel);
+  if (expand_collected(collected, set, nout, nsv, budget, result)) {
     result.detected = true;
     result.phase = MotPhase::Expansion;
     return finish(result);
   }
 
   // Optional fallback: plain [4]-style expansion (no extras, no phase 1).
-  if (!budget.exhausted() && options_.fallback_plain_expansion &&
-      options_.use_backward_implications) {
+  if (!budget.exhausted() && options_.fallback_plain_expansion) {
     MotResult fallback;  // separate accounting; counters stay with the
                          // enriched attempt, which reflects the paper's rules
-    const bool detected = expand_and_resimulate(
-        plain_pairs(*circuit_, faulty, nout, stats_), test, good, faulty, fv,
-        nout, nsv, /*apply_phase1=*/false, budget, fallback);
+    StateSet plain_set(*circuit_, test, good, fv, faulty, options_.kernel);
+    const bool detected = expand_plain(PlainWalk(faulty.states, nout, nsv),
+                                       plain_set, budget, fallback);
     stats_.fallback_expansions += fallback.expansions;
     if (detected) {
       result.detected = true;

@@ -16,7 +16,9 @@
 // responses.
 #pragma once
 
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "faultsim/conventional.hpp"
 #include "mot/collector.hpp"
@@ -123,6 +125,66 @@ class ExpansionRanking {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> heap_;
 };
 
+/// [4]'s candidate pool, walked in ExpansionRanking's order without a
+/// PairInfo per pair. The pool is every (u, i) with y_i unspecified at u in
+/// the conventional faulty trace and u = 0 or N_out(u-1) > 0, cut to the
+/// first `max_pairs` in (u, i) order; each pair splits y_i into {(i,0)} /
+/// {(i,1)}. With every extra() set of size one, ExpansionRanking keeps the
+/// pairs with u < L, N_out(u) > 0 and N_sv(u) > 0 in the order N_out(u)
+/// descending, N_sv(u) ascending, (u, i) ascending under every policy: the
+/// walk takes those units in that order, each unit's pairs by ascending i.
+class PlainWalk {
+ public:
+  struct Pair {
+    std::uint32_t u = 0, i = 0;
+    friend bool operator==(const Pair&, const Pair&) = default;
+  };
+
+  /// The faulty trace's states (L + 1 rows), N_out (L) and N_sv (L + 1).
+  PlainWalk(std::span<const std::vector<Val>> states,
+            std::span<const std::size_t> nout,
+            std::span<const std::size_t> nsv,
+            std::size_t max_pairs = static_cast<std::size_t>(-1));
+
+  bool capped() const { return capped_; }  ///< max_pairs cut the pool
+  /// Pool pairs with u > 0: the pairs a collector would have probed.
+  std::size_t probed_pairs() const { return probed_pairs_; }
+  /// Pairs examined so far (a returned pair is examined again next time).
+  std::size_t examined() const { return examined_; }
+
+  /// Skips, for good, the pairs that fail `valid(u, i)` and returns the
+  /// first that holds it, without consuming it; nullopt once exhausted.
+  template <typename Valid>
+  std::optional<Pair> first_valid(Valid&& valid) {
+    for (; k_ < units_.size(); ++k_, i_ = 0, seen_ = 0) {
+      const std::uint32_t u = units_[k_];
+      for (; i_ < states_[u].size(); ++i_) {
+        if (is_specified(states_[u][i_])) continue;
+        if (u == cap_u_ && seen_ == cap_n_) break;
+        ++examined_;
+        if (valid(u, i_)) return Pair{u, i_};
+        ++seen_;
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Consumes every remaining pair, in walk order.
+  std::vector<Pair> drain();
+
+ private:
+  std::span<const std::vector<Val>> states_;
+  std::vector<std::uint32_t> units_;  // eligible units, in rank order
+  /// At unit cap_u_ the pool holds only the first cap_n_ unspecified y_i.
+  std::uint32_t cap_u_ = ~std::uint32_t{0};
+  std::size_t cap_n_ = 0;
+  bool capped_ = false;
+  std::size_t probed_pairs_ = 0, examined_ = 0;
+  /// Cursor: flip-flop i_ of unit units_[k_], past seen_ of its pool pairs.
+  std::size_t k_ = 0, seen_ = 0;
+  std::uint32_t i_ = 0;
+};
+
 class MotFaultSimulator {
  public:
   explicit MotFaultSimulator(const Circuit& c, MotOptions options = {});
@@ -168,15 +230,22 @@ class MotFaultSimulator {
                               std::vector<const PairInfo*>& random_order,
                               const StateSet& set);
 
-  /// Procedure 2 (phases 1-2) + §3.4 over a given candidate pool. Returns
-  /// true when every sequence resolved (fault detected).
-  bool expand_and_resimulate(const CollectionResult& pool,
-                             const TestSequence& test, const SeqTrace& good,
-                             const SeqTrace& faulty, const FaultView& fv,
-                             const std::vector<std::size_t>& nout,
-                             const std::vector<std::size_t>& nsv,
-                             bool apply_phase1, WorkBudget& budget,
-                             MotResult& result);
+  /// Procedure 2 (phases 1-2) + §3.4 over the collected pairs. Returns true
+  /// when every sequence resolved (fault detected).
+  bool expand_collected(const CollectionResult& pool, StateSet& set,
+                        const std::vector<std::size_t>& nout,
+                        const std::vector<std::size_t>& nsv,
+                        WorkBudget& budget, MotResult& result);
+
+  /// [4]'s plain expansion + §3.4 over `walk`'s pairs.
+  bool expand_plain(PlainWalk walk, StateSet& set, WorkBudget& budget,
+                    MotResult& result);
+
+  /// Phase 2's expansion loop and §3.4: `pick(split)` fills in the next
+  /// split, or returns false when no pair is left.
+  template <typename Pick>
+  bool expand_and_resimulate(StateSet& set, WorkBudget& budget,
+                             MotResult& result, Pick&& pick);
 
   /// Fresh per-fault budget from the options plus the campaign controls.
   WorkBudget make_budget() const;
@@ -184,7 +253,8 @@ class MotFaultSimulator {
   const Circuit* circuit_;
   MotOptions options_;
   ConventionalFaultSimulator conv_;
-  BackwardCollector collector_;
+  /// Engaged iff options.use_backward_implications; [4] collects nothing.
+  std::optional<BackwardCollector> collector_;
   Rng selection_rng_;
   const Deadline* campaign_ = nullptr;
   const CancelToken* cancel_ = nullptr;

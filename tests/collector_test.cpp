@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -54,8 +55,8 @@ TEST(Collector, SynthesizesTime0Pairs) {
     EXPECT_FALSE(p.conf[0] || p.conf[1] || p.detect[0] || p.detect[1]);
     ASSERT_EQ(p.n_extra(0), 1u);
     ASSERT_EQ(p.n_extra(1), 1u);
-    EXPECT_EQ(r.extra(p, 0)[0], (std::pair<std::uint32_t, Val>{p.i, Val::Zero}));
-    EXPECT_EQ(r.extra(p, 1)[0], (std::pair<std::uint32_t, Val>{p.i, Val::One}));
+    EXPECT_EQ(*r.extra(p, 0).begin(), (ExtraVal{p.i, Val::Zero}));
+    EXPECT_EQ(*r.extra(p, 1).begin(), (ExtraVal{p.i, Val::One}));
   }
   EXPECT_EQ(u0, 3u);
 }
@@ -175,20 +176,6 @@ TEST(Collector, MaxPairsCapIsReportedNotSilent) {
   EXPECT_LE(r.pairs.size(), 2u);
 }
 
-TEST(Collector, PlainModeProducesTrivialPairs) {
-  TestBed s = make_setup(circuits::make_s27(), seq({"1011", "1011"}));
-  MotOptions opt;
-  opt.use_backward_implications = false;
-  BackwardCollector collector(s.c, opt);
-  const CollectionResult r = collector.collect(s.good, s.faulty, *s.fv);
-  EXPECT_FALSE(r.detected_by_check);
-  for (const PairInfo& p : r.pairs) {
-    EXPECT_TRUE(p.both_open());
-    EXPECT_EQ(p.n_extra(0), 1u);
-    EXPECT_EQ(p.n_extra(1), 1u);
-  }
-}
-
 TEST(Collector, TraceLinesAreRestoredAfterCollection) {
   TestBed s = make_setup(circuits::make_s27(), seq({"1011", "0110", "1011"}));
   const SeqTrace before = s.faulty;
@@ -258,6 +245,20 @@ TEST(Collector, MultiFrameBackwardDepthIsSoundOnS27) {
 
 // ------------------------------- serial vs packed collection at scale ----
 
+/// Each side's n_extra is the length of its extra() view, whose j ascend.
+void expect_views_match_sizes(const CollectionResult& r) {
+  for (std::size_t k = 0; k < r.pairs.size(); ++k) {
+    const PairInfo& p = r.pairs[k];
+    for (int a = 0; a < 2; ++a) {
+      auto view = r.extra(p, a);
+      EXPECT_EQ(std::ranges::distance(view), p.n_extra(a))
+          << "pair " << k << " side " << a;
+      EXPECT_TRUE(std::ranges::is_sorted(view, std::less<>(), &ExtraVal::first))
+          << "pair " << k << " side " << a;
+    }
+  }
+}
+
 /// Pair by pair: u, i, conf, detect and each side's extras in order.
 void expect_same_collection(const CollectionResult& want,
                             const CollectionResult& got) {
@@ -307,8 +308,8 @@ std::vector<std::uint32_t> probed_units(const CollectionResult& r) {
 
 /// Collects `f` with the Legacy serial collector and with the SoA packed
 /// collector under `opt` (kernel overridden) and compares the two results,
-/// also after copying and moving the packed one (extras live in the
-/// result's own arena). With `work_limit` > 0 each collection runs under its
+/// also after copying and moving the packed one (the runs its extra() views
+/// read live in the result itself). With `work_limit` > 0 each collection runs under its
 /// own WorkBudget of that many units, and the budgets must agree too.
 /// Returns the serial result.
 CollectionResult compare_collectors(const Circuit& c, const TestSequence& test,
@@ -334,7 +335,8 @@ CollectionResult compare_collectors(const Circuit& c, const TestSequence& test,
   CollectionResult got =
       soa.collect(soa_good, soa_faulty, fv, work_limit > 0 ? &soa_budget : nullptr);
   expect_same_collection(want, got);
-  EXPECT_EQ(want.extras.size(), got.extras.size());
+  expect_views_match_sizes(want);
+  expect_views_match_sizes(got);
   EXPECT_EQ(legacy_budget.work_used(), soa_budget.work_used());
   EXPECT_EQ(legacy_budget.stop(), soa_budget.stop());
   const CollectionResult copied = got;

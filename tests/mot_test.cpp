@@ -472,7 +472,7 @@ TEST(Ranking, KeyedOrderEqualsComparatorOrder) {
       for (int a = 0; a < 2; ++a) {
         p.conf[a] = rng.next_below(8) == 0;
         p.detect[a] = rng.next_below(8) == 0;
-        p.extra_len[a] = static_cast<std::uint32_t>(rng.next_below(trial % 2 ? 6 : 300));
+        p.extra_size[a] = static_cast<std::uint32_t>(rng.next_below(trial % 2 ? 6 : 300));
       }
     }
     for (const SelectionPolicy policy :
@@ -512,7 +512,7 @@ TEST(Ranking, LazyWalkPicksWhatTheSortedCursorPicks) {
       for (int a = 0; a < 2; ++a) {
         p.conf[a] = rng.next_below(8) == 0;
         p.detect[a] = rng.next_below(8) == 0;
-        p.extra_len[a] = static_cast<std::uint32_t>(rng.next_below(20));
+        p.extra_size[a] = static_cast<std::uint32_t>(rng.next_below(20));
       }
     }
     const SelectionPolicy policy =
@@ -537,6 +537,105 @@ TEST(Ranking, LazyWalkPicksWhatTheSortedCursorPicks) {
       ASSERT_EQ(got, want) << "round " << round;
       if (got == nullptr) break;
       if (rng.next_bool()) invalid[got - pairs.data()] = 1;
+    }
+  }
+}
+
+// ------------------------------------------------------- plain walk ----
+
+/// [4]'s plain pool built pair by pair, as the collector once built it:
+/// every (u, i) with y_i unspecified at u and u = 0 or N_out(u-1) > 0, in
+/// (u, i) order, cut to the first `max_pairs`; each side specifies only y_i.
+std::vector<PairInfo> plain_pool(const std::vector<std::vector<Val>>& states,
+                                 const std::vector<std::size_t>& nout,
+                                 std::size_t max_pairs, bool& capped) {
+  std::vector<PairInfo> pool;
+  capped = false;
+  for (std::uint32_t u = 0; u < states.size(); ++u) {
+    if (u > 0 && nout[u - 1] == 0) continue;
+    for (std::uint32_t i = 0; i < states[u].size(); ++i) {
+      if (is_specified(states[u][i])) continue;
+      if (pool.size() >= max_pairs) {
+        capped = true;
+        return pool;
+      }
+      PairInfo p;
+      p.u = u;
+      p.i = i;
+      p.extra_size[0] = p.extra_size[1] = 1;
+      pool.push_back(p);
+    }
+  }
+  return pool;
+}
+
+std::vector<PlainWalk::Pair> as_walk_pairs(
+    const std::vector<const PairInfo*>& ranked) {
+  std::vector<PlainWalk::Pair> out;
+  for (const PairInfo* p : ranked) out.push_back({p->u, p->i});
+  return out;
+}
+
+TEST(PlainWalk, FollowsTheRankingOfTheMaterialisedPool) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Few flip-flops and small N_out values, so that units tie on N_out and
+    // N_sv often; rows that are fully specified (zero units) or fully
+    // unspecified; random N_out, including zeros, so that the pool skips
+    // units and the last unit u = L joins it or not.
+    const std::size_t L = 1 + rng.next_below(10);
+    const std::size_t nff = 1 + rng.next_below(6);
+    std::vector<std::vector<Val>> states(L + 1, std::vector<Val>(nff));
+    for (auto& row : states) {
+      const std::uint64_t kind = rng.next_below(4);
+      for (Val& v : row) {
+        v = kind == 0   ? Val::One
+            : kind == 1 ? Val::X
+                        : (rng.next_bool() ? Val::X : Val::Zero);
+      }
+    }
+    std::vector<std::size_t> nout(L), nsv(L + 1);
+    for (auto& v : nout) v = rng.next_below(3);
+    for (std::size_t u = 0; u <= L; ++u) {
+      nsv[u] = static_cast<std::size_t>(
+          std::ranges::count_if(states[u], [](Val v) { return !is_specified(v); }));
+    }
+    const std::size_t max_pairs =
+        trial % 3 == 0 ? rng.next_below(3 * nff) : MotOptions{}.max_pairs;
+
+    bool capped = false;
+    const std::vector<PairInfo> pool = plain_pool(states, nout, max_pairs, capped);
+    const PlainWalk walk(states, nout, nsv, max_pairs);
+    EXPECT_EQ(walk.capped(), capped);
+    EXPECT_EQ(walk.probed_pairs(),
+              static_cast<std::size_t>(std::ranges::count_if(
+                  pool, [](const PairInfo& p) { return p.u > 0; })));
+    for (const SelectionPolicy policy :
+         {SelectionPolicy::Full, SelectionPolicy::TimeOnly,
+          SelectionPolicy::Random}) {
+      EXPECT_EQ(PlainWalk(states, nout, nsv, max_pairs).drain(),
+                as_walk_pairs(ExpansionRanking(pool, nout, nsv, policy).drain()));
+    }
+
+    // select_pair's lazy walk: rounds of permanent invalidation, each
+    // followed by a pick from the heap and from the walk.
+    ExpansionRanking ranking(pool, nout, nsv, SelectionPolicy::Full);
+    PlainWalk lazy(states, nout, nsv, max_pairs);
+    std::vector<std::vector<std::uint8_t>> invalid(
+        L + 1, std::vector<std::uint8_t>(nff, 0));
+    for (int round = 0; round < 8; ++round) {
+      for (auto& row : invalid) {
+        for (auto& bad : row) bad |= rng.next_below(5) == 0 ? 1 : 0;
+      }
+      const PairInfo* want = ranking.first_valid(
+          [&](const PairInfo* p) { return !invalid[p->u][p->i]; });
+      const std::optional<PlainWalk::Pair> got = lazy.first_valid(
+          [&](std::uint32_t u, std::uint32_t i) { return !invalid[u][i]; });
+      ASSERT_EQ(got.has_value(), want != nullptr) << "round " << round;
+      if (want == nullptr) break;
+      EXPECT_EQ(*got, (PlainWalk::Pair{want->u, want->i})) << "round " << round;
+      if (rng.next_bool()) invalid[got->u][got->i] = 1;
     }
   }
 }
