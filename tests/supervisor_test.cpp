@@ -740,21 +740,28 @@ TEST(RemoteSupervision, MismatchedCampaignIsRejectedAtHandshake) {
   const int listen_fd = open_listener(port);
   ASSERT_GE(listen_fd, 0);
 
-  MotOptions drifted = opt;
-  drifted.n_states = opt.n_states / 2;  // result-affecting: different hash
-  WorkerFleet bad;
-  bad.launch(1, p, drifted, /*run_baseline=*/true, test_remote(port));
-  WorkerFleet good;
-  good.launch(1, p, opt, /*run_baseline=*/true, test_remote(port));
-
   SupervisorOptions sup = test_sup(1);
   sup.listen_fd = listen_fd;
   const SupervisedMotRunner runner(p.circuit, opt, /*run_baseline=*/true, sup);
   SupervisorStats stats;
-  const std::vector<MotBatchItem> got = runner.run(
-      p.test, p.good, p.faults, p.candidates, nullptr, nullptr, &stats);
-  ::close(listen_fd);
+  std::vector<MotBatchItem> got;
+  std::thread coordinator([&] {
+    got = runner.run(p.test, p.good, p.faults, p.candidates, nullptr, nullptr,
+                     &stats);
+  });
+
+  // The drifted worker alone first, until its rejection: a good worker
+  // that finished the campaign first would close the listener before the
+  // handshake this test checks.
+  MotOptions drifted = opt;
+  drifted.n_states = opt.n_states / 2;  // result-affecting: different hash
+  WorkerFleet bad;
+  bad.launch(1, p, drifted, /*run_baseline=*/true, test_remote(port));
   bad.join();
+  WorkerFleet good;
+  good.launch(1, p, opt, /*run_baseline=*/true, test_remote(port));
+  coordinator.join();
+  ::close(listen_fd);
   good.join();
 
   expect_items_identical(got, want);
