@@ -31,11 +31,11 @@ MotFaultSimulator::MotFaultSimulator(const Circuit& c, MotOptions options)
 
 namespace {
 
-/// One expansion: the time unit and the assignments of both sides.
-struct Split {
-  std::uint32_t u = 0;
-  std::vector<StateAssign> side[2];
-};
+/// Where plain pairs read their extra() sets: they lie in no run.
+const CollectionResult kNoRuns;
+
+const PairInfo* as_pair(const PairInfo* p) { return p; }
+const PairInfo* as_pair(const PairInfo& p) { return &p; }
 
 UnresolvedReason reason_of(BudgetStop stop) {
   switch (stop) {
@@ -116,33 +116,35 @@ PlainWalk::PlainWalk(std::span<const std::vector<Val>> states,
                      std::span<const std::size_t> nout,
                      std::span<const std::size_t> nsv, std::size_t max_pairs)
     : states_(states) {
+  pair_.extra_size[0] = pair_.extra_size[1] = 1;
   // Pool units in (u, i) order, up to the one where max_pairs binds.
-  std::size_t pool = 0;
-  for (std::uint32_t u = 0; u < states.size(); ++u) {
+  for (std::uint32_t u = 0; u < states.size() && !capped_; ++u) {
     if (u > 0 && nout[u - 1] == 0) continue;
     std::size_t n = nsv[u];
-    if (pool + n > max_pairs) {
+    auto end = static_cast<std::uint32_t>(states[u].size());
+    if (n > max_pairs) {
       capped_ = true;
-      cap_u_ = u;
-      cap_n_ = n = max_pairs - pool;
+      n = max_pairs;
+      end = 0;
+      for (std::size_t seen = 0; seen < n; ++end) {
+        seen += is_specified(states[u][end]) ? 0 : 1;
+      }
     }
-    pool += n;
+    max_pairs -= n;
     if (u > 0) probed_pairs_ += n;
-    if (n > 0 && u < nout.size() && nout[u] > 0) units_.push_back(u);
-    if (capped_) break;
+    if (n > 0 && u < nout.size() && nout[u] > 0) units_.push_back({u, end});
   }
-  std::stable_sort(units_.begin(), units_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     if (nout[a] != nout[b]) return nout[a] > nout[b];
-                     return nsv[a] < nsv[b];
-                   });
+  std::stable_sort(units_.begin(), units_.end(), [&](Unit a, Unit b) {
+    if (nout[a.u] != nout[b.u]) return nout[a.u] > nout[b.u];
+    return nsv[a.u] < nsv[b.u];
+  });
 }
 
-std::vector<PlainWalk::Pair> PlainWalk::drain() {
+std::vector<PairInfo> PlainWalk::drain() {
   // Every pair read as invalid: the walk steps over all of them in order.
-  std::vector<Pair> order;
-  first_valid([&](std::uint32_t u, std::uint32_t i) {
-    order.push_back({u, i});
+  std::vector<PairInfo> order;
+  first_valid([&](const PairInfo* p) {
+    order.push_back(*p);
     return false;
   });
   return order;
@@ -163,9 +165,11 @@ std::vector<const PairInfo*> ExpansionRanking::drain() {
   return order;
 }
 
-const PairInfo* MotFaultSimulator::select_pair(
-    const CollectionResult& pool, ExpansionRanking& ranking,
-    std::vector<const PairInfo*>& random_order, const StateSet& set) {
+template <typename Ranking, typename Order>
+const PairInfo* MotFaultSimulator::select_pair(const CollectionResult& pool,
+                                               Ranking& ranking,
+                                               Order& random_order,
+                                               const StateSet& set) {
   // The constraint of step 3: every variable of sv(u,i) — the union of the
   // variables in both extra sets — must be unspecified at u in all active
   // sequences. Checked without materializing the union; duplicates are
@@ -181,9 +185,9 @@ const PairInfo* MotFaultSimulator::select_pair(
     return true;
   };
   if (options_.selection == SelectionPolicy::Random) {
-    std::erase_if(random_order, [&](const PairInfo* p) { return !valid(p); });
+    std::erase_if(random_order, [&](const auto& p) { return !valid(as_pair(p)); });
     if (random_order.empty()) return nullptr;
-    return random_order[selection_rng_.next_below(random_order.size())];
+    return as_pair(random_order[selection_rng_.next_below(random_order.size())]);
   }
   // The ranking is static and specification is monotone: pairs popped as
   // invalid can never become valid again, so walking the heap implements
@@ -202,44 +206,18 @@ WorkBudget MotFaultSimulator::make_budget() const {
                     options_.per_fault_work_limit, campaign_, cancel_);
 }
 
-template <typename Pick>
-bool MotFaultSimulator::expand_and_resimulate(StateSet& set,
-                                              WorkBudget& budget,
-                                              MotResult& result, Pick&& pick) {
-  Split split;
-  while (set.size() * 2 <= options_.n_states) {
-    // An expansion duplicates every active sequence, so its cost scales
-    // with the set size — charge that many units (not 1) or the doubling
-    // growth would reach a huge N_STATES in too few polls for the clock
-    // stride to ever observe the deadline.
-    if (budget.poll(set.size())) return false;  // caller reads the reason
-    if (!pick(split)) break;
-    ++result.expansions;
-    result.counters.n_extra += split.side[0].size() + split.side[1].size();
-    // Originals take side 0, copies side 1.
-    set.split(split.u, split.side[0], split.side[1]);
-  }
+template <typename Ranking>
+bool MotFaultSimulator::expand_and_resimulate(
+    const CollectionResult& pool, Ranking& ranking, const TestSequence& test,
+    const SeqTrace& good, const SeqTrace& faulty, const FaultView& fv,
+    bool apply_phase1, WorkBudget& budget, MotResult& result) {
+  StateSet set(*circuit_, test, good, fv, faulty, options_.kernel);
 
-  // §3.4: resimulate and check.
-  set.resimulate(&budget);
-  result.final_sequences = set.size();
-  // An Active sequence left by an exhausted budget correctly reads as
-  // "not all resolved": budget overrun can only lose detections, never
-  // fabricate one.
-  return set.all_resolved();
-}
-
-bool MotFaultSimulator::expand_collected(const CollectionResult& pool,
-                                         StateSet& set,
-                                         const std::vector<std::size_t>& nout,
-                                         const std::vector<std::size_t>& nsv,
-                                         WorkBudget& budget,
-                                         MotResult& result) {
   // Procedure 2, step 2 (phase 1): one-sided pairs close one value of y_i —
   // conflict means the value is impossible, detection means every run with
   // that value is already detected. Either way only y_i = ᾱ survives, and
   // the values implied for that side refine S0 in place.
-  if (options_.use_phase1) {
+  if (apply_phase1) {
     for (const PairInfo& p : pool.pairs) {
       if (!p.one_sided()) continue;
       const int closed = p.side_closed(0) ? 0 : 1;
@@ -258,53 +236,37 @@ bool MotFaultSimulator::expand_collected(const CollectionResult& pool,
     }
   }
 
-  // Procedure 2, steps 3-10 (phase 2): duplicating expansions, extra(u,i,0)
-  // on the originals and extra(u,i,1) on the copies.
-  ExpansionRanking ranking(pool.pairs, nout, nsv, options_.selection);
-  std::vector<const PairInfo*> random_order;
+  // Procedure 2, steps 3-10 (phase 2): duplicating expansions.
+  decltype(ranking.drain()) random_order;
   if (options_.selection == SelectionPolicy::Random) random_order = ranking.drain();
-  return expand_and_resimulate(set, budget, result, [&](Split& split) {
+  std::vector<StateAssign> side[2];
+  while (set.size() * 2 <= options_.n_states) {
+    // An expansion duplicates every active sequence, so its cost scales
+    // with the set size — charge that many units (not 1) or the doubling
+    // growth would reach a huge N_STATES in too few polls for the clock
+    // stride to ever observe the deadline.
+    if (budget.poll(set.size())) return false;  // caller reads the reason
     const PairInfo* pick = select_pair(pool, ranking, random_order, set);
-    if (pick == nullptr) return false;
-    split.u = pick->u;
+    if (pick == nullptr) break;
+    ++result.expansions;
+    result.counters.n_extra += pick->n_extra(0) + pick->n_extra(1);
+
+    // Originals take extra(u,i,0), copies take extra(u,i,1).
     for (int a : {0, 1}) {
       auto extra = pool.extra(*pick, a);
-      split.side[a].assign(extra.begin(), extra.end());
-      stats_.split_reads += split.side[a].size();
+      side[a].assign(extra.begin(), extra.end());
     }
-    return true;
-  });
-}
+    stats_.split_reads += side[0].size() + side[1].size();
+    set.split(pick->u, side[0], side[1]);
+  }
 
-bool MotFaultSimulator::expand_plain(PlainWalk walk, StateSet& set,
-                                     WorkBudget& budget, MotResult& result) {
-  // sv(u,i) = {y_i}: valid while y_i is unspecified at u in every active
-  // sequence.
-  const auto valid = [&](std::uint32_t u, std::uint32_t i) {
-    return set.unspecified_everywhere(u, i);
-  };
-  const bool random = options_.selection == SelectionPolicy::Random;
-  std::vector<PlainWalk::Pair> random_order;
-  if (random) random_order = walk.drain();
-  const bool detected = expand_and_resimulate(set, budget, result, [&](Split& split) {
-    std::optional<PlainWalk::Pair> pick;
-    if (!random) {
-      pick = walk.first_valid(valid);
-    } else {
-      std::erase_if(random_order,
-                    [&](PlainWalk::Pair p) { return !valid(p.u, p.i); });
-      if (!random_order.empty()) {
-        pick = random_order[selection_rng_.next_below(random_order.size())];
-      }
-    }
-    if (!pick.has_value()) return false;
-    split.u = pick->u;
-    split.side[0].assign({{pick->i, Val::Zero}});
-    split.side[1].assign({{pick->i, Val::One}});
-    return true;
-  });
-  stats_.plain_enumerated += walk.examined();
-  return detected;
+  // §3.4: resimulate and check.
+  set.resimulate(&budget);
+  result.final_sequences = set.size();
+  // An Active sequence left by an exhausted budget correctly reads as
+  // "not all resolved": budget overrun can only lose detections, never
+  // fabricate one.
+  return set.all_resolved();
 }
 
 MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
@@ -357,6 +319,18 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
     return r;
   };
 
+  // [4]'s plain expansion over `walk`'s pairs (no phase 1).
+  const auto expand_plain = [&](PlainWalk& walk, MotResult& r) {
+    const bool detected = expand_and_resimulate(kNoRuns, walk, test, good, faulty,
+                                                fv, false, budget, r);
+    stats_.plain_enumerated += walk.examined();
+    // Under Random the walk was drained into a vector of all its pairs.
+    if (options_.selection == SelectionPolicy::Random) {
+      stats_.plain_materialised += walk.examined();
+    }
+    return detected;
+  };
+
   if (!collector_.has_value()) {
     // [4]: no backward implications, so no collection step — the plain walk
     // stands in for the candidate pool. Each pool pair with u > 0 is still
@@ -367,8 +341,7 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
       if (budget.poll(2)) return finish(result);
     }
     result.collection_capped = walk.capped();
-    StateSet set(*circuit_, test, good, fv, faulty, options_.kernel);
-    if (expand_plain(std::move(walk), set, budget, result)) {
+    if (expand_plain(walk, result)) {
       result.detected = true;
       result.phase = MotPhase::Expansion;
     }
@@ -387,8 +360,9 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
   if (budget.exhausted()) return finish(result);
 
   // Procedure 2 + §3.4 with the collected (implication-enriched) pairs.
-  StateSet set(*circuit_, test, good, fv, faulty, options_.kernel);
-  if (expand_collected(collected, set, nout, nsv, budget, result)) {
+  ExpansionRanking ranking(collected.pairs, nout, nsv, options_.selection);
+  if (expand_and_resimulate(collected, ranking, test, good, faulty, fv,
+                            options_.use_phase1, budget, result)) {
     result.detected = true;
     result.phase = MotPhase::Expansion;
     return finish(result);
@@ -398,9 +372,8 @@ MotResult MotFaultSimulator::simulate_fault(const TestSequence& test,
   if (!budget.exhausted() && options_.fallback_plain_expansion) {
     MotResult fallback;  // separate accounting; counters stay with the
                          // enriched attempt, which reflects the paper's rules
-    StateSet plain_set(*circuit_, test, good, fv, faulty, options_.kernel);
-    const bool detected = expand_plain(PlainWalk(faulty.states, nout, nsv),
-                                       plain_set, budget, fallback);
+    PlainWalk walk(faulty.states, nout, nsv);
+    const bool detected = expand_plain(walk, fallback);
     stats_.fallback_expansions += fallback.expansions;
     if (detected) {
       result.detected = true;

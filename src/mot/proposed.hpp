@@ -125,21 +125,17 @@ class ExpansionRanking {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> heap_;
 };
 
-/// [4]'s candidate pool, walked in ExpansionRanking's order without a
-/// PairInfo per pair. The pool is every (u, i) with y_i unspecified at u in
-/// the conventional faulty trace and u = 0 or N_out(u-1) > 0, cut to the
-/// first `max_pairs` in (u, i) order; each pair splits y_i into {(i,0)} /
-/// {(i,1)}. With every extra() set of size one, ExpansionRanking keeps the
-/// pairs with u < L, N_out(u) > 0 and N_sv(u) > 0 in the order N_out(u)
-/// descending, N_sv(u) ascending, (u, i) ascending under every policy: the
-/// walk takes those units in that order, each unit's pairs by ascending i.
+/// [4]'s candidate pool, walked in ExpansionRanking's order without storing
+/// it. The pool is every (u, i) with y_i unspecified at u in the conventional
+/// faulty trace and u = 0 or N_out(u-1) > 0, cut to the first `max_pairs` in
+/// (u, i) order; each pair splits y_i into {(i,0)} / {(i,1)}. With every
+/// extra() set of size one, ExpansionRanking keeps the pairs with u < L,
+/// N_out(u) > 0 and N_sv(u) > 0 in the order N_out(u) descending, N_sv(u)
+/// ascending, (u, i) ascending under every policy: the walk takes those
+/// units in that order, each unit's pairs by ascending i, as PairInfo
+/// entries in no run (CollectionResult::extra reads them as {(i, α)}).
 class PlainWalk {
  public:
-  struct Pair {
-    std::uint32_t u = 0, i = 0;
-    friend bool operator==(const Pair&, const Pair&) = default;
-  };
-
   /// The faulty trace's states (L + 1 rows), N_out (L) and N_sv (L + 1).
   PlainWalk(std::span<const std::vector<Val>> states,
             std::span<const std::size_t> nout,
@@ -152,37 +148,35 @@ class PlainWalk {
   /// Pairs examined so far (a returned pair is examined again next time).
   std::size_t examined() const { return examined_; }
 
-  /// Skips, for good, the pairs that fail `valid(u, i)` and returns the
-  /// first that holds it, without consuming it; nullopt once exhausted.
+  /// Skips, for good, the pairs that fail `valid` and returns the first that
+  /// holds it (valid until the next call), or nullptr once exhausted.
   template <typename Valid>
-  std::optional<Pair> first_valid(Valid&& valid) {
-    for (; k_ < units_.size(); ++k_, i_ = 0, seen_ = 0) {
-      const std::uint32_t u = units_[k_];
-      for (; i_ < states_[u].size(); ++i_) {
-        if (is_specified(states_[u][i_])) continue;
-        if (u == cap_u_ && seen_ == cap_n_) break;
+  const PairInfo* first_valid(Valid&& valid) {
+    for (; k_ < units_.size(); ++k_, pair_.i = 0) {
+      pair_.u = units_[k_].u;
+      for (; pair_.i < units_[k_].end; ++pair_.i) {
+        if (is_specified(states_[pair_.u][pair_.i])) continue;
         ++examined_;
-        if (valid(u, i_)) return Pair{u, i_};
-        ++seen_;
+        if (valid(&pair_)) return &pair_;
       }
     }
-    return std::nullopt;
+    return nullptr;
   }
 
   /// Consumes every remaining pair, in walk order.
-  std::vector<Pair> drain();
+  std::vector<PairInfo> drain();
 
  private:
+  /// An eligible unit, whose pool pairs are its unspecified y_i with i < end.
+  struct Unit {
+    std::uint32_t u, end;
+  };
   std::span<const std::vector<Val>> states_;
-  std::vector<std::uint32_t> units_;  // eligible units, in rank order
-  /// At unit cap_u_ the pool holds only the first cap_n_ unspecified y_i.
-  std::uint32_t cap_u_ = ~std::uint32_t{0};
-  std::size_t cap_n_ = 0;
+  std::vector<Unit> units_;  // in rank order
   bool capped_ = false;
   std::size_t probed_pairs_ = 0, examined_ = 0;
-  /// Cursor: flip-flop i_ of unit units_[k_], past seen_ of its pool pairs.
-  std::size_t k_ = 0, seen_ = 0;
-  std::uint32_t i_ = 0;
+  std::size_t k_ = 0;  // cursor: pair_.i of unit units_[k_]
+  PairInfo pair_;
 };
 
 class MotFaultSimulator {
@@ -225,27 +219,19 @@ class MotFaultSimulator {
  private:
   /// Procedure 2 steps 3-7: picks the next pair to expand, or nullptr.
   /// `random_order` is the drained ranking under SelectionPolicy::Random.
-  const PairInfo* select_pair(const CollectionResult& pool,
-                              ExpansionRanking& ranking,
-                              std::vector<const PairInfo*>& random_order,
-                              const StateSet& set);
+  template <typename Ranking, typename Order>
+  const PairInfo* select_pair(const CollectionResult& pool, Ranking& ranking,
+                              Order& random_order, const StateSet& set);
 
-  /// Procedure 2 (phases 1-2) + §3.4 over the collected pairs. Returns true
-  /// when every sequence resolved (fault detected).
-  bool expand_collected(const CollectionResult& pool, StateSet& set,
-                        const std::vector<std::size_t>& nout,
-                        const std::vector<std::size_t>& nsv,
-                        WorkBudget& budget, MotResult& result);
-
-  /// [4]'s plain expansion + §3.4 over `walk`'s pairs.
-  bool expand_plain(PlainWalk walk, StateSet& set, WorkBudget& budget,
-                    MotResult& result);
-
-  /// Phase 2's expansion loop and §3.4: `pick(split)` fills in the next
-  /// split, or returns false when no pair is left.
-  template <typename Pick>
-  bool expand_and_resimulate(StateSet& set, WorkBudget& budget,
-                             MotResult& result, Pick&& pick);
+  /// Procedure 2 (phases 1-2) + §3.4 over the pairs `ranking` walks (an
+  /// ExpansionRanking of `pool`'s pairs or a PlainWalk). Returns true when
+  /// every sequence resolved (fault detected).
+  template <typename Ranking>
+  bool expand_and_resimulate(const CollectionResult& pool, Ranking& ranking,
+                             const TestSequence& test, const SeqTrace& good,
+                             const SeqTrace& faulty, const FaultView& fv,
+                             bool apply_phase1, WorkBudget& budget,
+                             MotResult& result);
 
   /// Fresh per-fault budget from the options plus the campaign controls.
   WorkBudget make_budget() const;

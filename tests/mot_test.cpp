@@ -569,11 +569,22 @@ std::vector<PairInfo> plain_pool(const std::vector<std::vector<Val>>& states,
   return pool;
 }
 
-std::vector<PlainWalk::Pair> as_walk_pairs(
-    const std::vector<const PairInfo*>& ranked) {
-  std::vector<PlainWalk::Pair> out;
-  for (const PairInfo* p : ranked) out.push_back({p->u, p->i});
+/// The (u, i) of each pair, in order; every one splits y_i alone.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> unit_pairs(
+    const std::vector<PairInfo>& pairs) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  for (const PairInfo& p : pairs) {
+    EXPECT_TRUE(p.both_open() && p.n_extra(0) == 1 && p.n_extra(1) == 1);
+    out.emplace_back(p.u, p.i);
+  }
   return out;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> unit_pairs(
+    const std::vector<const PairInfo*>& ranked) {
+  std::vector<PairInfo> pairs;
+  for (const PairInfo* p : ranked) pairs.push_back(*p);
+  return unit_pairs(pairs);
 }
 
 TEST(PlainWalk, FollowsTheRankingOfTheMaterialisedPool) {
@@ -614,8 +625,8 @@ TEST(PlainWalk, FollowsTheRankingOfTheMaterialisedPool) {
     for (const SelectionPolicy policy :
          {SelectionPolicy::Full, SelectionPolicy::TimeOnly,
           SelectionPolicy::Random}) {
-      EXPECT_EQ(PlainWalk(states, nout, nsv, max_pairs).drain(),
-                as_walk_pairs(ExpansionRanking(pool, nout, nsv, policy).drain()));
+      EXPECT_EQ(unit_pairs(PlainWalk(states, nout, nsv, max_pairs).drain()),
+                unit_pairs(ExpansionRanking(pool, nout, nsv, policy).drain()));
     }
 
     // select_pair's lazy walk: rounds of permanent invalidation, each
@@ -630,11 +641,11 @@ TEST(PlainWalk, FollowsTheRankingOfTheMaterialisedPool) {
       }
       const PairInfo* want = ranking.first_valid(
           [&](const PairInfo* p) { return !invalid[p->u][p->i]; });
-      const std::optional<PlainWalk::Pair> got = lazy.first_valid(
-          [&](std::uint32_t u, std::uint32_t i) { return !invalid[u][i]; });
-      ASSERT_EQ(got.has_value(), want != nullptr) << "round " << round;
+      const PairInfo* got = lazy.first_valid(
+          [&](const PairInfo* p) { return !invalid[p->u][p->i]; });
+      ASSERT_EQ(got != nullptr, want != nullptr) << "round " << round;
       if (want == nullptr) break;
-      EXPECT_EQ(*got, (PlainWalk::Pair{want->u, want->i})) << "round " << round;
+      EXPECT_EQ(unit_pairs({got}), unit_pairs({want})) << "round " << round;
       if (rng.next_bool()) invalid[got->u][got->i] = 1;
     }
   }
