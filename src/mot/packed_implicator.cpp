@@ -18,19 +18,6 @@ PackedFrameImplicator::PackedFrameImplicator(const Circuit& c)
   }
 }
 
-void PackedFrameImplicator::refine_line(GateId line, std::uint64_t ones,
-                                        std::uint64_t zeros) {
-  PVal& cur = pframe_[line];
-  const std::uint64_t confl = (ones & cur.zeros) | (zeros & cur.ones);
-  if (confl) freeze(confl);
-  const std::uint64_t change =
-      ((ones | zeros) & ~(cur.ones | cur.zeros)) & live_;
-  if (!change) return;
-  trail_.push_back({line, cur});
-  cur.ones |= ones & change;
-  cur.zeros |= zeros & change;
-}
-
 void PackedFrameImplicator::forward_at(const FaultView& fv, GateId g) {
   const GateType t = lev_->type(g);
   if (t == GateType::Input || t == GateType::Dff || t == GateType::Const0 ||

@@ -109,7 +109,17 @@ class PackedFrameImplicator {
   /// masks, already restricted to live lanes): conflicting lanes freeze,
   /// newly specified lanes are written and the line's old value recorded on
   /// trail_.
-  void refine_line(GateId line, std::uint64_t ones, std::uint64_t zeros);
+  void refine_line(GateId line, std::uint64_t ones, std::uint64_t zeros) {
+    PVal& cur = pframe_[line];
+    const std::uint64_t confl = (ones & cur.zeros) | (zeros & cur.ones);
+    if (confl) freeze(confl);
+    const std::uint64_t change =
+        ((ones | zeros) & ~(cur.ones | cur.zeros)) & live_;
+    if (!change) return;
+    trail_.push_back({line, cur});
+    cur.ones |= ones & change;
+    cur.zeros |= zeros & change;
+  }
 
   void freeze(std::uint64_t lanes) {
     conflict_ |= lanes;

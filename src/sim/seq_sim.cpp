@@ -1,5 +1,6 @@
 #include "sim/seq_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/frame_kernel.hpp"
@@ -102,9 +103,7 @@ std::vector<std::size_t> count_nout(const SeqTrace& fault_free, const SeqTrace& 
 std::vector<std::size_t> count_nsv(const SeqTrace& faulty) {
   std::vector<std::size_t> nsv(faulty.states.size(), 0);
   for (std::size_t u = 0; u < faulty.states.size(); ++u) {
-    for (Val v : faulty.states[u]) {
-      if (!is_specified(v)) ++nsv[u];
-    }
+    nsv[u] = static_cast<std::size_t>(std::ranges::count(faulty.states[u], Val::X));
   }
   return nsv;
 }
