@@ -27,10 +27,6 @@ struct EffectivenessCounters {
   }
 };
 
-}  // namespace motsim
-
-namespace motsim {
-
 /// Work counts of the MOT stage (Procedure 1 and 2 per fault, plus the
 /// plain [4]-style expansions). Diagnostics only: deterministic functions of
 /// the faults simulated, so equal for every thread count, and part of no
@@ -52,8 +48,6 @@ struct MotStats {
   std::uint64_t plain_materialised = 0;
   /// Expansions made by the plain-expansion fallback.
   std::uint64_t fallback_expansions = 0;
-
-  friend bool operator==(const MotStats&, const MotStats&) = default;
 
   MotStats& operator+=(const MotStats& o) {
     packed_windows += o.packed_windows;
