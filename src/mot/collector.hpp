@@ -50,7 +50,8 @@ struct RunEntry {
 
 struct PairInfo {
   /// run[a] of a side in no run: a conflict or detection side, or a side
-  /// whose extra() set is {(i, α)} alone (the synthesized u = 0 pairs).
+  /// whose extra() set is {(i, α)} alone (the synthesized u = 0 pairs and
+  /// the plain walk's pairs).
   static constexpr std::uint32_t kSelf = ~std::uint32_t{0};
 
   std::uint32_t u = 0;  ///< time unit of the present-state variable

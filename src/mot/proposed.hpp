@@ -169,7 +169,7 @@ class PlainWalk {
  private:
   /// An eligible unit, whose pool pairs are its unspecified y_i with i < end.
   struct Unit {
-    std::uint32_t u, end;
+    std::uint32_t u = 0, end = 0;
   };
   std::span<const std::vector<Val>> states_;
   std::vector<Unit> units_;  // in rank order
